@@ -1237,12 +1237,8 @@ let e16 () =
     let dir = fresh_dir () in
     let path = Filename.concat dir "wal.log" in
     let w = ok "wal create" (Dc_storage.Wal.create ~path ~fsync) in
-    let fsyncs = Atomic.make 0 in
-    let old_count = !Dc_storage.Hooks.count in
-    (Dc_storage.Hooks.count :=
-       fun name n ->
-         if name = "wal_fsyncs" then Atomic.incr fsyncs;
-         old_count name n);
+    let fsyncs () = C.Metrics.(count default Key.wal_fsyncs) in
+    let fsyncs0 = fsyncs () in
     let _, total_ms =
       time_ms (fun () ->
           let ts =
@@ -1259,14 +1255,13 @@ let e16 () =
           in
           List.iter Thread.join ts)
     in
-    Dc_storage.Hooks.count := old_count;
+    let fs = fsyncs () - fsyncs0 in
     Dc_storage.Wal.close w;
     let scan = ok "scan" (Dc_storage.Wal.scan_file ~schemas:[] path) in
     let total = threads * gc_appends in
     if List.length scan.Dc_storage.Wal.records <> total then
       failwith "E16: group-commit appends lost";
     rm_rf dir;
-    let fs = Atomic.get fsyncs in
     let per_barrier =
       if fs = 0 then float_of_int total else float_of_int total /. float_of_int fs
     in

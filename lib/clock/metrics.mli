@@ -1,13 +1,15 @@
 (** Engine observability: monotonic counters and timers.
 
     A registry ({!t}) holds named counters and timers.  The process-wide
-    {!default} registry aggregates everything; each {!Engine.t} also
+    {!default} registry aggregates everything; each citation engine also
     carries its own handle so cache behaviour can be inspected per
-    engine.  Counter increments fired from the lower layers
-    ({!Dc_cq.Eval} index-cache events, {!Dc_cq.Containment} checks,
-    {!Dc_rewriting.Rewrite} enumeration events) are routed here through
-    observer hooks installed when this module is linked, and reach
-    [default] plus every registry pushed with {!with_sink}.
+    engine.  This module sits in the lowest library, so every layer —
+    evaluation, containment, rewriting and the Datalog fixpoint in
+    [dc_cq]/[dc_rewriting], pool fan-outs in [dc_parallel], the WAL,
+    snapshots and recovery in [dc_storage], and the citation engine and
+    server above them — calls {!record} and {!record_time} directly.
+    Each event reaches [default] plus every registry pushed with
+    {!with_sink}, whichever libraries the program links.
 
     Counters are monotonic: nothing but {!reset} ever decreases one.
     Timers use the monotonic clock ({!Dc_clock.Monotonic}), so recorded
@@ -33,9 +35,10 @@
     list.  The one {e deliberate} crossing is pool fan-out:
     {!Dc_parallel.Domain_pool.run_all} (hence [parallel_map] and the
     engine's parallel rewriting) re-installs the submitting domain's
-    scopes around every task, so work farmed out under [with_sink m]
-    still lands in [m] — each worker through its own per-domain sink of
-    [m].  Raw [Domain.spawn] does not propagate scopes. *)
+    scopes around every task through {!capture_scope}, so work farmed
+    out under [with_sink m] still lands in [m] — each worker through
+    its own per-domain sink of [m].  Raw [Domain.spawn] does not
+    propagate scopes. *)
 
 type t
 
@@ -60,7 +63,7 @@ module Key : sig
   val eval_plan_hits : string
   (** Evaluations served by an already-compiled, still-valid plan — the
       warm citation hot path.  Distinct from {!plan_cache_hits}, which
-      counts the rewriting-policy plan cache in {!Engine}. *)
+      counts the rewriting-policy plan cache in {!Dc_citation.Engine}. *)
 
   val leaf_cache_hits : string
   val leaf_cache_misses : string
@@ -98,7 +101,7 @@ module Key : sig
       against one shard/version pick). *)
 
   val version_commits : string
-  (** Deltas committed through a {!Versioned_engine}. *)
+  (** Deltas committed through a {!Dc_citation.Versioned_engine}. *)
 
   val version_cache_hits : string
   (** [cite_at] requests served by an already-materialized per-version
@@ -199,6 +202,11 @@ val with_sink : t -> (unit -> 'a) -> 'a
     scope does not double-count.  Pool fan-outs inside the callback
     carry the scope to their worker domains (see the module note); raw
     [Domain.spawn] does not. *)
+
+val capture_scope : unit -> (unit -> 'a) -> 'a
+(** [capture_scope ()] snapshots this domain's {!with_sink} scopes; the
+    returned function runs a callback, on any domain, under exactly
+    those scopes (restoring that domain's own afterwards). *)
 
 val record : ?by:int -> string -> unit
 (** Increment a counter on {!default} and every sink in scope on this

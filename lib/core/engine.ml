@@ -31,6 +31,24 @@ type plan_cache = {
   by_preds : (string, plan list ref) Hashtbl.t;
 }
 
+(* Leaf-cache keys are structural — the view name and its params in name
+   order — so no parameter value, whatever characters it holds, can
+   spell another leaf's key. *)
+module Leaf_cache = Hashtbl.Make (struct
+  type t = string * (string * R.Value.t) list
+
+  let equal (v1, p1) (v2, p2) =
+    String.equal v1 v2
+    && List.equal
+         (fun (n1, x1) (n2, x2) -> String.equal n1 n2 && R.Value.equal x1 x2)
+         p1 p2
+
+  let hash (v, ps) =
+    List.fold_left
+      (fun h (n, x) -> (((h * 31) + Hashtbl.hash n) * 31) + R.Value.hash x)
+      (Hashtbl.hash v) ps
+end)
+
 type t = {
   base : R.Database.t;  (** EDB relations only *)
   derived : R.Database.t;
@@ -45,7 +63,7 @@ type t = {
   selection : selection;
   partial : bool;
   fallback_contained : bool;
-  leaf_cache : (string, Citation.t) Hashtbl.t;
+  leaf_cache : Citation.t Leaf_cache.t;
   eval_cache : Cq.Eval.cache;
   plans : plan_cache;
   metrics : Metrics.t;
@@ -131,7 +149,7 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     selection;
     partial;
     fallback_contained;
-    leaf_cache = Hashtbl.create 64;
+    leaf_cache = Leaf_cache.create 64;
     eval_cache;
     (* the plan cache is keyed by the view set, which is fixed at
        creation: a fresh engine (possibly with different views) always
@@ -177,7 +195,7 @@ let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
 let replicate e =
   {
     e with
-    leaf_cache = Hashtbl.create 64;
+    leaf_cache = Leaf_cache.create 64;
     eval_cache = Cq.Eval.make_cache ();
     plans = { by_render = Hashtbl.create 16; by_preds = Hashtbl.create 16 };
     lock = Mutex.create ();
@@ -230,7 +248,7 @@ let refresh e base =
     derived;
     full = merge_full base derived;
     view_db;
-    leaf_cache = Hashtbl.create 64;
+    leaf_cache = Leaf_cache.create 64;
   }
 
 (* The caller asserts [view_db] matches [base]; derived extents are kept
@@ -242,7 +260,7 @@ let with_databases e ~base ~view_db =
     base;
     full = merge_full base e.derived;
     view_db;
-    leaf_cache = Hashtbl.create 64;
+    leaf_cache = Leaf_cache.create 64;
   }
 
 type tuple_citation = {
@@ -266,17 +284,13 @@ type result = {
    different construction orders share one cache entry (and one
    resolution). *)
 let leaf_key (l : Cite_expr.leaf) =
-  Printf.sprintf "%s(%s)" l.view
-    (String.concat ","
-       (List.map
-          (fun (n, v) -> n ^ "=" ^ R.Value.to_string v)
-          (List.sort (fun (a, _) (b, _) -> String.compare a b) l.params)))
+  (l.view, List.sort (fun (a, _) (b, _) -> String.compare a b) l.params)
 
 let resolve_leaf e (l : Cite_expr.leaf) =
   Metrics.with_sink e.metrics @@ fun () ->
   locked e @@ fun () ->
   let k = leaf_key l in
-  match Hashtbl.find_opt e.leaf_cache k with
+  match Leaf_cache.find_opt e.leaf_cache k with
   | Some c ->
       Metrics.record Metrics.Key.leaf_cache_hits;
       c
@@ -284,7 +298,7 @@ let resolve_leaf e (l : Cite_expr.leaf) =
       Metrics.record Metrics.Key.leaf_cache_misses;
       let cv = Citation_view.Set.find_exn e.cviews l.view in
       let c = Citation_view.cite ~cache:e.eval_cache cv e.full l.params in
-      Hashtbl.add e.leaf_cache k c;
+      Leaf_cache.add e.leaf_cache k c;
       c
 
 let select e rewritings =

@@ -17,20 +17,6 @@
 
 exception Unknown_relation of string
 
-type event = Index_build | Cache_hit | Cache_miss | Plan_compile | Plan_hit
-
-val on_event : (event -> unit) ref
-(** Instrumentation hook, fired on every index-cache lookup
-    ([Cache_hit], or [Cache_miss] followed by [Index_build]) and every
-    plan-cache lookup ([Plan_hit], or [Plan_compile]).  A no-op by
-    default; {!Dc_citation.Metrics} installs a counter sink.  Not
-    intended for application code. *)
-
-val plan_timer : ((unit -> unit) -> unit) ref
-(** Wraps each plan compilation; the default applies the thunk
-    directly.  {!Dc_citation.Metrics} installs a timing sink so
-    compilations show up under the [plan_compile] timer. *)
-
 module Binding : sig
   (** A binding: total valuation of a query's variables. *)
 

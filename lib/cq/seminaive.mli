@@ -19,16 +19,6 @@
     Evaluation never mutates the input database: the result is the
     input plus one relation per IDB predicate. *)
 
-type event = Fixpoint | Iteration
-
-val on_event : (event -> unit) ref
-(** Fires [Fixpoint] once per recursive stratum and [Iteration] once
-    per delta round.  Default no-op; [Dc_citation.Metrics] installs a
-    counter sink at link time. *)
-
-val run_timer : ((unit -> unit) -> unit) ref
-(** Wraps each {!run}; a metrics sink can time whole derivations. *)
-
 val delta_suffix : string
 (** Reserved relation-name suffix ("__delta") used for per-round delta
     extents; {!run} rejects input databases that already contain a

@@ -32,13 +32,6 @@ type outcome = { queries : Dc_cq.Query.t list; stats : stats }
 (** A labeled search result: the kept rewritings plus the enumeration
     statistics. *)
 
-type event = Candidate | Verified | Kept
-
-val on_event : (event -> unit) ref
-(** Instrumentation hook, fired by every enumerator as candidates are
-    generated, verified and kept.  A no-op by default;
-    {!Dc_citation.Metrics} installs a counter sink. *)
-
 val search :
   ?strategy:strategy ->
   ?partial:bool ->

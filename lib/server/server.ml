@@ -269,13 +269,14 @@ let execute t eng (req : Protocol.request) =
           record_err m;
           Protocol.error_line ("commit failed: " ^ Printexc.to_string ex))
   | Protocol.Versions ->
-      let v = t.versioned in
-      Protocol.ok_versions
-        ~head:(C.Versioned_engine.head v)
+      (* one store snapshot, so a racing commit cannot put the head
+         ahead of the listed versions *)
+      let s = C.Versioned_engine.store t.versioned in
+      Protocol.ok_versions ~head:(R.Version_store.head s)
         ~versions:
           (List.map
-             (fun ver -> (ver, C.Versioned_engine.timestamp v ver))
-             (C.Versioned_engine.versions v))
+             (fun ver -> (ver, R.Version_store.timestamp s ver))
+             (R.Version_store.versions s))
   | Protocol.Verify { version; digest } -> (
       C.Metrics.record_time "server_verify" @@ fun () ->
       match C.Versioned_engine.verify t.versioned version digest with

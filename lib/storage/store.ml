@@ -17,6 +17,7 @@
      scanned-invalid WAL tail. *)
 
 module R = Dc_relational
+module Metrics = Dc_clock.Metrics
 module VS = R.Version_store
 
 let log_src =
@@ -186,10 +187,10 @@ let recover ~fsync ~mode ~dir t_digest =
           | None -> ""
           | Some r -> " (" ^ r ^ ")"));
   let store, registrations, replayed =
-    Hooks.timed "recovery_replay" (fun () ->
+    Metrics.record_time "recovery_replay" (fun () ->
         replay ~seed scan.Wal.records)
   in
-  !Hooks.count "recovery_replayed_deltas" replayed;
+  Metrics.record ~by:replayed Metrics.Key.recovery_replayed_deltas;
   (* Verify the recovered state against the stored fixity digest: the
      newest snapshot records what its version hashed to when written;
      if the recovered store disagrees, the files diverged (a WAL and a

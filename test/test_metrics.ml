@@ -149,7 +149,20 @@ let test_leaf_key_param_order () =
   Alcotest.(check int) "permuted params hit" 1
     (count e M.Key.leaf_cache_hits);
   Alcotest.(check int) "no second miss" 1 (count e M.Key.leaf_cache_misses);
-  Alcotest.(check bool) "same citation" true (C.Citation.equal c1 c2)
+  Alcotest.(check bool) "same citation" true (C.Citation.equal c1 c2);
+  (* distinct valuations never share an entry, whatever the values
+     spell: rendered as "n=v" joined by ",", these two read alike *)
+  let spelled_a = [ ("FID", str "11,FName=x"); ("FName", str "y") ] in
+  let spelled_b = [ ("FID", str "11"); ("FName", str "x,FName=y") ] in
+  ignore (E.resolve_leaf e { view = "V4"; params = spelled_a });
+  let cb = E.resolve_leaf e { view = "V4"; params = spelled_b } in
+  Alcotest.(check int) "look-alike valuations both miss" 3
+    (count e M.Key.leaf_cache_misses);
+  Alcotest.(check int) "no false hit" 1 (count e M.Key.leaf_cache_hits);
+  Alcotest.(check bool) "citation of its own valuation" true
+    (C.Citation.equal cb
+       (E.resolve_leaf (E.create (paper_db ()) [ cv ])
+          { view = "V4"; params = spelled_b }))
 
 (* Warm cites are served by the compiled-plan cache: the stored plans
    keep their index handles, so repeats fire [eval_plan_hits] rather
@@ -269,6 +282,110 @@ let test_with_sink_propagates_through_pool () =
            (List.init 8 Fun.id)));
   Alcotest.(check int) "no scope, no events" 64 (M.count m "pooled")
 
+(* ------------------------------------------------------------------ *)
+(* Pinned counts.  One fixed workload drives every lower layer that
+   records metrics — compiled evaluation, rewriting, containment, the
+   Datalog fixpoint, one pool fan-out and the durable store — under a
+   scoped registry, and every counter and timer those layers carry must
+   come out at exactly the pinned value.  A change to how a layer
+   reports (or to which registry an event from a worker domain lands
+   in) shows up here as a changed number. *)
+
+module Sg = Dc_storage
+
+let pinned_counters =
+  [
+    (M.Key.eval_index_builds, 4);
+    (M.Key.eval_cache_hits, 3);
+    (M.Key.eval_cache_misses, 4);
+    (M.Key.plan_compiles, 13);
+    (M.Key.eval_plan_hits, 1);
+    (M.Key.containment_checks, 11);
+    (M.Key.rewriting_candidates, 2);
+    (M.Key.rewriting_verified, 2);
+    (M.Key.rewriting_kept, 2);
+    (M.Key.datalog_fixpoints, 1);
+    (M.Key.datalog_iterations, 4);
+    (M.Key.wal_appends, 3);
+    (M.Key.wal_fsyncs, 3);
+    (M.Key.wal_group_commits, 0);
+    (M.Key.snapshots_written, 2);
+    (M.Key.recovery_replayed_deltas, 2);
+  ]
+
+(* timer name -> calls *)
+let pinned_timers =
+  [
+    ("plan_compile", 13);
+    ("datalog_fixpoint", 1);
+    ("wal_append", 3);
+    ("wal_fsync", 3);
+    ("snapshot_write", 2);
+    ("snapshot_load", 2);
+    ("recovery_replay", 1);
+  ]
+
+let pinned_workload () =
+  (* a cold cite (rewriting search + compilations) and a warm one *)
+  let e = fresh_engine () in
+  ignore (E.cite e query_q);
+  ignore (E.cite e query_q);
+  (* one recursive stratum: transitive closure of a 4-edge chain *)
+  let edges =
+    R.Database.insert_list
+      (R.Database.create_relation R.Database.empty
+         (R.Schema.make "E"
+            [
+              R.Schema.attr ~ty:R.Value.TInt "A";
+              R.Schema.attr ~ty:R.Value.TInt "B";
+            ]))
+      "E"
+      (List.map int_tuple [ [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ]; [ 4; 5 ] ])
+  in
+  ignore
+    (Cq.Seminaive.run edges
+       (Cq.Stratify.run_exn
+          (List.map Cq.Parser.parse_rule_exn
+             [ "T(X,Y) :- E(X,Y)"; "T(X,Z) :- E(X,Y), T(Y,Z)" ])));
+  (* one pool fan-out whose tasks record on the worker domain *)
+  P.with_pool ~clamp:false ~domains:2 (fun pool ->
+      ignore
+        (P.run_all pool
+           [
+             (fun () -> Cq.Containment.equivalent q_renamed query_q);
+             (fun () ->
+               ignore (Cq.Eval.run (rs_db ()) (q "Q(X) :- R(X,Y), S(Y,C)"));
+               true);
+           ]));
+  (* the durable store: two commits and a registration under [Always],
+     a snapshot, then a full recovery *)
+  Test_storage.with_dir @@ fun dir ->
+  let db = rs_db () in
+  let digest = Test_storage.digest in
+  let st, _ =
+    Test_storage.ok "open" (Sg.Store.open_ ~digest ~dir ~db ())
+  in
+  let vs = Test_storage.build_store st (R.Version_store.create db) 2 in
+  Test_storage.ok "register"
+    (Sg.Store.append_register st "Q(X) :- R(X,Y)");
+  ignore
+    (Test_storage.ok "snapshot"
+       (Sg.Store.write_snapshot st ~store:vs ~registrations:[]));
+  Sg.Store.close st;
+  let st, _ = Test_storage.ok "reopen" (Sg.Store.open_ ~digest ~dir ~db ()) in
+  Sg.Store.close st
+
+let test_pinned_counts () =
+  let m = M.create () in
+  M.with_sink m pinned_workload;
+  List.iter
+    (fun (k, n) -> Alcotest.(check int) ("counter " ^ k) n (M.count m k))
+    pinned_counters;
+  List.iter
+    (fun (k, n) ->
+      Alcotest.(check int) ("timer calls " ^ k) n (snd (M.timer m k)))
+    pinned_timers
+
 let test_reset_clears_every_sink () =
   let m = M.create () in
   let worker () = for _ = 1 to 100 do M.incr m "r" done in
@@ -326,4 +443,6 @@ let suite =
     Alcotest.test_case "reset clears every sink" `Quick
       test_reset_clears_every_sink;
     Alcotest.test_case "monotonic clock sanity" `Quick test_monotonic_clock;
+    Alcotest.test_case "pinned counts of every layer" `Quick
+      test_pinned_counts;
   ]

@@ -265,6 +265,66 @@ let test_versioned_concurrent_commits () =
   Alcotest.(check bool) "head differs from v0" true
     (sans_ms head <> baseline)
 
+(* The last [{"version":n] entry of a VERSIONS answer. *)
+let last_listed line =
+  let marker = {|{"version":|} in
+  let m = String.length marker in
+  let rec back i =
+    if i < 0 then Alcotest.failf "no version listed in %S" line
+    else if String.sub line i m = marker then
+      extract_int (String.sub line i (String.length line - i)) "version"
+    else back (i - 1)
+  in
+  back (String.length line - m)
+
+(* A VERSIONS answer is one consistent view of the store: while another
+   client commits in a loop, every answer's head is its last listed
+   version. *)
+let test_versions_consistent_under_commits () =
+  let engine =
+    C.Engine.create
+      (Dc_gtopdb.Paper_views.example_database ())
+      Dc_gtopdb.Paper_views.all
+  in
+  let config = { S.Server.default_config with port = 0; domains = 2 } in
+  let server = S.Server.start ~config engine in
+  Fun.protect ~finally:(fun () -> S.Server.stop server) @@ fun () ->
+  let commits = 40 in
+  let done_ = Atomic.make false in
+  let committer =
+    Thread.create
+      (fun () ->
+        let conn = S.Client.connect ~port:(S.Server.port server) () in
+        Fun.protect
+          ~finally:(fun () ->
+            S.Client.close conn;
+            Atomic.set done_ true)
+        @@ fun () ->
+        for i = 1 to commits do
+          ignore
+            (expect_ok "commit"
+               (S.Client.request conn
+                  (Printf.sprintf "V2 COMMIT_DELTA +Family(%d,Fam%d,D%d)"
+                     (200 + i) i i)))
+        done)
+      ()
+  in
+  let conn = S.Client.connect ~port:(S.Server.port server) () in
+  let answers = ref 0 and mismatches = ref [] in
+  Fun.protect ~finally:(fun () -> S.Client.close conn) (fun () ->
+      while not (Atomic.get done_) do
+        let line = expect_ok "versions" (S.Client.request conn "V2 VERSIONS") in
+        incr answers;
+        let head = extract_int line "head" and last = last_listed line in
+        if head <> last then mismatches := (head, last) :: !mismatches
+      done);
+  Thread.join committer;
+  Alcotest.(check (list (pair int int)))
+    (Printf.sprintf "head = last listed version in all %d answers" !answers)
+    [] !mismatches;
+  let final = expect_ok "final versions" (request server "V2 VERSIONS") in
+  Alcotest.(check int) "every commit landed" commits (extract_int final "head")
+
 let test_graceful_shutdown () =
   let engine, server = fresh_server () in
   ignore engine;
@@ -424,4 +484,6 @@ let suite =
       test_pipelining_order;
     Alcotest.test_case "cite_batch over the wire" `Quick test_cite_batch_wire;
     Alcotest.test_case "overload sheds BUSY" `Quick test_busy_shedding;
+    Alcotest.test_case "VERSIONS consistent under commits" `Quick
+      test_versions_consistent_under_commits;
   ]

@@ -488,19 +488,15 @@ let test_concurrent_group_commit () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "wal.log" in
   let w = ok "create" (Sg.Wal.create ~path ~fsync:Sg.Wal.Always) in
-  (* tally the hook counters, preserving whatever they were wired to *)
-  let fsyncs = Atomic.make 0 and appends = Atomic.make 0 in
-  let groups = Atomic.make 0 in
-  let old_count = !Sg.Hooks.count in
-  Sg.Hooks.count :=
-    (fun name n ->
-      (match name with
-      | "wal_fsyncs" -> Atomic.incr fsyncs
-      | "wal_appends" -> Atomic.incr appends
-      | "wal_group_commits" -> Atomic.incr groups
-      | _ -> ());
-      old_count name n);
-  Fun.protect ~finally:(fun () -> Sg.Hooks.count := old_count) @@ fun () ->
+  (* the WAL's own counters, read as deltas of the process-wide
+     registry *)
+  let module M = Dc_clock.Metrics in
+  let since k =
+    let c0 = M.count M.default k in
+    fun () -> M.count M.default k - c0
+  in
+  let fsyncs = since M.Key.wal_fsyncs and appends = since M.Key.wal_appends in
+  let groups = since M.Key.wal_group_commits in
   let threads = 8 and per_thread = 20 in
   let failures = Atomic.make 0 in
   let appenders =
@@ -520,15 +516,14 @@ let test_concurrent_group_commit () =
   List.iter Thread.join appenders;
   Sg.Wal.close w;
   Alcotest.(check int) "every append succeeded" 0 (Atomic.get failures);
-  Alcotest.(check int) "appends counted" (threads * per_thread)
-    (Atomic.get appends);
+  Alcotest.(check int) "appends counted" (threads * per_thread) (appends ());
   Alcotest.(check bool)
-    (Printf.sprintf "no more fsyncs (%d) than appends (%d)"
-       (Atomic.get fsyncs) (Atomic.get appends))
+    (Printf.sprintf "no more fsyncs (%d) than appends (%d)" (fsyncs ())
+       (appends ()))
     true
-    (Atomic.get fsyncs <= Atomic.get appends);
+    (fsyncs () <= appends ());
   Alcotest.(check bool) "group counter within fsyncs" true
-    (Atomic.get groups <= Atomic.get fsyncs);
+    (groups () <= fsyncs ());
   (* durability: every concurrent append is in the recovered prefix *)
   let scan = ok "scan" (Sg.Wal.scan_file ~schemas:[] path) in
   Alcotest.(check (option string)) "no corruption" None scan.Sg.Wal.corrupt;
