@@ -118,6 +118,7 @@ let () =
       ("E18", Experiments.e18);
       ("E19", Experiments.e19);
       ("E20", Experiments.e20);
+      ("E22", Experiments.e22);
     ]
   in
   let to_run =

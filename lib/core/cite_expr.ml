@@ -65,6 +65,20 @@ let rec normalize e =
   | AltR xs -> clean `AltR (fun xs -> AltR xs) xs
   | Agg xs -> clean `Agg (fun xs -> Agg xs) xs
 
+let hash_leaf l =
+  List.fold_left
+    (fun h (n, v) -> (((h * 31) + Hashtbl.hash n) * 31) + Value.hash v)
+    (Hashtbl.hash l.view) l.params
+
+let rec hash e =
+  let node tag xs = List.fold_left (fun h x -> (h * 31) + hash x) tag xs in
+  match e with
+  | Leaf l -> hash_leaf l
+  | Joint xs -> node 1 xs
+  | Alt xs -> node 2 xs
+  | AltR xs -> node 3 xs
+  | Agg xs -> node 4 xs
+
 let rec collect_leaves acc = function
   | Leaf l -> l :: acc
   | Joint xs | Alt xs | AltR xs | Agg xs ->

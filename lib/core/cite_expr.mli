@@ -48,6 +48,16 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
+val hash : t -> int
+(** A hash consistent with {!compare} (structural: no normalization). *)
+
+val compare_leaf : leaf -> leaf -> int
+(** View name, then the parameter list in its stored order. *)
+
+val hash_leaf : leaf -> int
+(** Consistent with {!compare_leaf}; values hash by
+    {!Dc_relational.Value.hash}. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints in the paper's style, e.g.
     [(CV1(11)·CV3 + CV1(12)·CV3) +R (CV2·CV3)]. *)

@@ -1,21 +1,34 @@
 module Cq = Dc_cq
 
-let leaf_of_atom cviews atom binding =
+type template = { view : string; slots : (string * Cq.Term.t) list }
+
+let template cviews atom =
   match Citation_view.Set.find cviews (Cq.Atom.pred atom) with
   | None -> None
   | Some cv ->
-      let def = Citation_view.definition cv in
-      let positions = Cq.Query.param_positions def in
-      let args = Cq.Atom.args atom in
-      let params =
+      let args = Array.of_list (Cq.Atom.args atom) in
+      let slots =
         List.map2
-          (fun p pos ->
-            match List.nth args pos with
-            | Cq.Term.Const c -> (p, c)
-            | Cq.Term.Var v -> (p, Cq.Eval.Binding.find_exn binding v))
-          (Citation_view.params cv) positions
+          (fun p pos -> (p, args.(pos)))
+          (Citation_view.params cv)
+          (Cq.Query.param_positions (Citation_view.definition cv))
       in
-      Some (Cite_expr.leaf ~view:(Citation_view.name cv) ~params)
+      Some { view = Citation_view.name cv; slots }
+
+let is_constant t = List.for_all (fun (_, src) -> Cq.Term.is_const src) t.slots
+
+let instantiate t binding =
+  List.map
+    (fun (p, src) ->
+      match src with
+      | Cq.Term.Const c -> (p, c)
+      | Cq.Term.Var v -> (p, Cq.Eval.Binding.find_exn binding v))
+    t.slots
+
+let leaf_of_atom cviews atom binding =
+  Option.map
+    (fun t -> Cite_expr.leaf ~view:t.view ~params:(instantiate t binding))
+    (template cviews atom)
 
 let binding_expr cviews rewriting binding =
   Cite_expr.joint

@@ -16,6 +16,27 @@
 
     Base (non-view) atoms in a partial rewriting contribute no leaf. *)
 
+(** A view atom compiled once per rewriting: the view name and, for
+    each parameter in the view's parameter order, the atom argument that
+    supplies it.  Instantiating a template under a binding is the
+    per-binding half of {!leaf_of_atom}. *)
+type template = {
+  view : string;
+  slots : (string * Dc_cq.Term.t) list;
+      (** parameter name, and the constant or variable filling it *)
+}
+
+val template : Citation_view.Set.t -> Dc_cq.Atom.t -> template option
+(** [None] when the atom's predicate is not a citation view. *)
+
+val is_constant : template -> bool
+(** Every parameter is filled by a constant (in particular, the view is
+    unparameterized): the leaf is the same under every binding. *)
+
+val instantiate :
+  template -> Dc_cq.Eval.Binding.t -> (string * Dc_relational.Value.t) list
+(** The leaf's parameter valuation under a binding. *)
+
 val leaf_of_atom :
   Citation_view.Set.t ->
   Dc_cq.Atom.t ->

@@ -20,33 +20,27 @@ type plan = {
   mutable plan_contained : (Cq.Query.t list * Rw.Rewrite.stats) option;
 }
 
-(* Two-level lookup: a cheap canonical-rendering key catches repeats of
-   the same (or alpha-renamed) query with zero containment work; the
+(* Two-level lookup: a cheap canonical-form key catches repeats of the
+   same (or alpha-renamed) query with zero containment work; the
    sorted-predicate-multiset buckets catch any other equivalent form
    via Chandra-Merlin equivalence of the cores.  Plans depend only on
    the view set, never on the data, so the cache is shared by [refresh]
    and [with_databases] copies of the engine. *)
 type plan_cache = {
-  by_render : (string, plan) Hashtbl.t;
+  by_form : plan Cq.Query.Tbl.t;
   by_preds : (string, plan list ref) Hashtbl.t;
 }
 
-(* Leaf-cache keys are structural — the view name and its params in name
-   order — so no parameter value, whatever characters it holds, can
-   spell another leaf's key. *)
-module Leaf_cache = Hashtbl.Make (struct
-  type t = string * (string * R.Value.t) list
+(* Leaf keys are structural — the view name and its params — so no
+   parameter value, whatever characters it holds, can spell another
+   leaf's key.  The shared leaf cache keys params in name order; a
+   construction's local leaf table keys them in view order, as leaves
+   carry them. *)
+module Leaf_tbl = Hashtbl.Make (struct
+  type t = Cite_expr.leaf
 
-  let equal (v1, p1) (v2, p2) =
-    String.equal v1 v2
-    && List.equal
-         (fun (n1, x1) (n2, x2) -> String.equal n1 n2 && R.Value.equal x1 x2)
-         p1 p2
-
-  let hash (v, ps) =
-    List.fold_left
-      (fun h (n, x) -> (((h * 31) + Hashtbl.hash n) * 31) + R.Value.hash x)
-      (Hashtbl.hash v) ps
+  let equal a b = Cite_expr.compare_leaf a b = 0
+  let hash = Cite_expr.hash_leaf
 end)
 
 type t = {
@@ -63,7 +57,7 @@ type t = {
   selection : selection;
   partial : bool;
   fallback_contained : bool;
-  leaf_cache : Citation.t Leaf_cache.t;
+  leaf_cache : Citation.t Leaf_tbl.t;
   eval_cache : Cq.Eval.cache;
   plans : plan_cache;
   metrics : Metrics.t;
@@ -149,12 +143,12 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     selection;
     partial;
     fallback_contained;
-    leaf_cache = Leaf_cache.create 64;
+    leaf_cache = Leaf_tbl.create 64;
     eval_cache;
     (* the plan cache is keyed by the view set, which is fixed at
        creation: a fresh engine (possibly with different views) always
        starts cold *)
-    plans = { by_render = Hashtbl.create 16; by_preds = Hashtbl.create 16 };
+    plans = { by_form = Cq.Query.Tbl.create 16; by_preds = Hashtbl.create 16 };
     metrics;
     pool;
     lock = Mutex.create ();
@@ -195,9 +189,9 @@ let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
 let replicate e =
   {
     e with
-    leaf_cache = Leaf_cache.create 64;
+    leaf_cache = Leaf_tbl.create 64;
     eval_cache = Cq.Eval.make_cache ();
-    plans = { by_render = Hashtbl.create 16; by_preds = Hashtbl.create 16 };
+    plans = { by_form = Cq.Query.Tbl.create 16; by_preds = Hashtbl.create 16 };
     lock = Mutex.create ();
   }
 
@@ -248,7 +242,7 @@ let refresh e base =
     derived;
     full = merge_full base derived;
     view_db;
-    leaf_cache = Leaf_cache.create 64;
+    leaf_cache = Leaf_tbl.create 64;
   }
 
 (* The caller asserts [view_db] matches [base]; derived extents are kept
@@ -260,7 +254,7 @@ let with_databases e ~base ~view_db =
     base;
     full = merge_full base e.derived;
     view_db;
-    leaf_cache = Leaf_cache.create 64;
+    leaf_cache = Leaf_tbl.create 64;
   }
 
 type tuple_citation = {
@@ -284,13 +278,15 @@ type result = {
    different construction orders share one cache entry (and one
    resolution). *)
 let leaf_key (l : Cite_expr.leaf) =
-  (l.view, List.sort (fun (a, _) (b, _) -> String.compare a b) l.params)
+  {
+    l with
+    params = List.sort (fun (a, _) (b, _) -> String.compare a b) l.params;
+  }
 
-let resolve_leaf e (l : Cite_expr.leaf) =
-  Metrics.with_sink e.metrics @@ fun () ->
-  locked e @@ fun () ->
+(* Callers hold the lock. *)
+let cite_leaf e (l : Cite_expr.leaf) =
   let k = leaf_key l in
-  match Leaf_cache.find_opt e.leaf_cache k with
+  match Leaf_tbl.find_opt e.leaf_cache k with
   | Some c ->
       Metrics.record Metrics.Key.leaf_cache_hits;
       c
@@ -298,8 +294,11 @@ let resolve_leaf e (l : Cite_expr.leaf) =
       Metrics.record Metrics.Key.leaf_cache_misses;
       let cv = Citation_view.Set.find_exn e.cviews l.view in
       let c = Citation_view.cite ~cache:e.eval_cache cv e.full l.params in
-      Leaf_cache.add e.leaf_cache k c;
+      Leaf_tbl.add e.leaf_cache k c;
       c
+
+let resolve_leaf e l =
+  Metrics.with_sink e.metrics @@ fun () -> locked e @@ fun () -> cite_leaf e l
 
 let select e rewritings =
   match (e.selection, rewritings) with
@@ -319,14 +318,15 @@ let eval_db e =
 
 let merged_database = eval_db
 
-(* A cheap, containment-free canonical rendering used as the plan
-   cache's fast path: group body atoms by predicate (stable, so the
-   reorder is independent of variable names only across alpha-renaming,
-   not across arbitrary body permutations), then rename every variable
-   to x<i> in order of first occurrence.  Alpha-renamed repeats of a
-   query therefore render identically; any other equivalent form falls
-   through to the core-equivalence scan below. *)
-let canonical_render q =
+(* A cheap, containment-free canonical form used as the plan cache's
+   fast path: group body atoms by predicate (stable, so the reorder is
+   independent of variable names only across alpha-renaming, not across
+   arbitrary body permutations), then rename every variable to x<i> in
+   order of first occurrence.  Alpha-renamed repeats of a query
+   therefore share one form; any other equivalent form falls through to
+   the core-equivalence scan below.  The form is compared structurally,
+   never by its printed text, which conflates e.g. [1] and [1.0]. *)
+let canonical_form q =
   let body =
     List.stable_sort
       (fun a b -> String.compare (Cq.Atom.pred a) (Cq.Atom.pred b))
@@ -339,7 +339,7 @@ let canonical_render q =
          (fun i v -> (v, Cq.Term.Var (Printf.sprintf "x%d" i)))
          (Cq.Query.all_vars q))
   in
-  Cq.Query.to_string (Cq.Query.apply_subst subst q)
+  Cq.Query.apply_subst subst q
 
 let pred_multiset q =
   String.concat ","
@@ -347,15 +347,15 @@ let pred_multiset q =
 
 (* The memoized rewriting search.  Equivalent queries (same answers on
    every database) have interchangeable rewriting sets, so a hit is
-   keyed up to Chandra-Merlin equivalence: first the canonical
-   rendering, then — because equivalent minimal queries are isomorphic,
-   hence share their predicate multiset — an equivalence scan within
-   the core's predicate-multiset bucket. *)
+   keyed up to Chandra-Merlin equivalence: first the canonical form,
+   then — because equivalent minimal queries are isomorphic, hence
+   share their predicate multiset — an equivalence scan within the
+   core's predicate-multiset bucket. *)
 let plan_for e query =
   locked e @@ fun () ->
   let stripped = Cq.Query.strip_params query in
-  let render = canonical_render stripped in
-  match Hashtbl.find_opt e.plans.by_render render with
+  let form = canonical_form stripped in
+  match Cq.Query.Tbl.find_opt e.plans.by_form form with
   | Some plan ->
       Metrics.record Metrics.Key.plan_cache_hits;
       plan
@@ -377,7 +377,7 @@ let plan_for e query =
       with
       | Some plan ->
           Metrics.record Metrics.Key.plan_cache_hits;
-          Hashtbl.replace e.plans.by_render render plan;
+          Cq.Query.Tbl.replace e.plans.by_form form plan;
           plan
       | None ->
           Metrics.record Metrics.Key.plan_cache_misses;
@@ -395,7 +395,7 @@ let plan_for e query =
             }
           in
           bucket := plan :: !bucket;
-          Hashtbl.replace e.plans.by_render render plan;
+          Cq.Query.Tbl.replace e.plans.by_form form plan;
           plan)
 
 let contained_for e plan query =
@@ -409,6 +409,179 @@ let contained_for e plan query =
       in
       plan.plan_contained <- Some r;
       r
+
+(* Citation construction, costed per distinct leaf and per distinct
+   tuple shape rather than per tuple.
+
+   A tuple's normalized expression is [AltR] over its rewritings, [Alt]
+   over their bindings, [Joint] over each binding's view leaves —
+   deduplicated and sorted at every level.  It is therefore a function
+   of the nested {e sets}: the set, over rewritings, of the set, over
+   bindings, of the set of leaves.  Interning every distinct leaf of a
+   construction as a dense id turns that nesting into a canonical
+   [int list list list] (its {e shape}), and tuples of equal shape share
+   one normalized expression and one policy evaluation.  The distinct
+   leaves are resolved through the shared leaf cache in one locked
+   pass. *)
+
+type leaf_table = {
+  ids : int Leaf_tbl.t;
+  mutable rev_leaves : Cite_expr.leaf list;  (** newest id first *)
+}
+
+let leaf_table () = { ids = Leaf_tbl.create 16; rev_leaves = [] }
+
+let intern tbl l =
+  match Leaf_tbl.find_opt tbl.ids l with
+  | Some i -> i
+  | None ->
+      let i = Leaf_tbl.length tbl.ids in
+      Leaf_tbl.add tbl.ids l i;
+      tbl.rev_leaves <- l :: tbl.rev_leaves;
+      i
+
+let leaves_of tbl = Array.of_list (List.rev tbl.rev_leaves)
+
+(* The one critical section of a construction: every distinct leaf
+   ([leaves_of tbl]) looked up, or cited, in the shared cache.  The
+   returned resolver serves only leaves of [tbl]. *)
+let resolver e tbl leaves =
+  let cites =
+    if leaves = [||] then [||]
+    else locked e (fun () -> Array.map (cite_leaf e) leaves)
+  in
+  fun l -> cites.(Leaf_tbl.find tbl.ids l)
+
+(* A rewriting compiled to its per-binding leaf-id set.  When no view
+   atom reads a variable, every binding yields the same set: it is
+   interned once, on first use. *)
+let compile_joint cviews tbl rw =
+  let templates =
+    List.filter_map (Compute.template cviews) (Cq.Query.body rw)
+  in
+  let ids binding =
+    List.sort_uniq Int.compare
+      (List.map
+         (fun (t : Compute.template) ->
+           intern tbl { view = t.view; params = Compute.instantiate t binding })
+         templates)
+  in
+  if List.for_all Compute.is_constant templates then
+    let ids = lazy (ids Cq.Eval.Binding.empty) in
+    fun _ -> Lazy.force ids
+  else ids
+
+module Shape_tbl = Hashtbl.Make (struct
+  type t = int list list list
+
+  let equal = List.equal (List.equal (List.equal Int.equal))
+
+  let hash shape =
+    let list f h l = List.fold_left f ((h * 31) + List.length l) l in
+    list (list (list (fun h i -> (h * 31) + i))) 0 shape
+end)
+
+type shape = {
+  key : int list list list;
+  mutable expr : Cite_expr.t;
+  mutable citations : Citation.Set.t;
+}
+
+type contribution = Cq.Query.t * Cq.Eval.Binding.t list
+
+(* Shared by [cite] and [construct]: the per-tuple citations, the
+   distinct tuple expressions, and the resolver for their leaves. *)
+let build e (answers : (R.Tuple.t * contribution list) list) =
+  let tbl = leaf_table () in
+  let joints = ref [] in
+  let joint rw =
+    match List.assq_opt rw !joints with
+    | Some f -> f
+    | None ->
+        let f = compile_joint e.cviews tbl rw in
+        joints := (rw, f) :: !joints;
+        f
+  in
+  let shapes = Shape_tbl.create 8 in
+  let shape_of key =
+    match Shape_tbl.find_opt shapes key with
+    | Some s -> s
+    | None ->
+        let s = { key; expr = Cite_expr.agg []; citations = [] } in
+        Shape_tbl.add shapes key s;
+        s
+  in
+  let shaped =
+    List.map
+      (fun (tuple, contribs) ->
+        let per_rewriting (rw, bindings) =
+          List.sort_uniq (List.compare Int.compare)
+            (List.map (joint rw) bindings)
+        in
+        let key =
+          List.sort_uniq
+            (List.compare (List.compare Int.compare))
+            (List.map per_rewriting contribs)
+        in
+        (tuple, shape_of key))
+      answers
+  in
+  let leaves = leaves_of tbl in
+  let resolve = resolver e tbl leaves in
+  let distinct =
+    Shape_tbl.fold
+      (fun _ s acc ->
+        let leaf i = Cite_expr.Leaf leaves.(i) in
+        s.expr <-
+          Cite_expr.normalize
+            (Cite_expr.alt_r
+               (List.map
+                  (fun alt ->
+                    Cite_expr.alt
+                      (List.map
+                         (fun j -> Cite_expr.joint (List.map leaf j))
+                         alt))
+                  s.key));
+        s.citations <- Policy.eval_normalized ~resolve e.policy s.expr;
+        s.expr :: acc)
+      shapes []
+  in
+  let tuples =
+    List.map
+      (fun (tuple, s) -> { tuple; expr = s.expr; citations = s.citations })
+      shaped
+  in
+  (tuples, distinct, resolve)
+
+let construct e answers =
+  Metrics.with_sink e.metrics @@ fun () ->
+  let tuples, _, _ = build e answers in
+  tuples
+
+module Expr_tbl = Hashtbl.Make (struct
+  type t = Cite_expr.t
+
+  let equal a b = a == b || Cite_expr.compare a b = 0
+  let hash = Cite_expr.hash
+end)
+
+let evaluate e exprs =
+  Metrics.with_sink e.metrics @@ fun () ->
+  let tbl = leaf_table () in
+  let memo = Expr_tbl.create 16 in
+  List.iter
+    (fun x ->
+      if not (Expr_tbl.mem memo x) then begin
+        List.iter (fun l -> ignore (intern tbl l)) (Cite_expr.leaves x);
+        Expr_tbl.add memo x []
+      end)
+    exprs;
+  let resolve = resolver e tbl (leaves_of tbl) in
+  (* every distinct expression was entered above with a placeholder *)
+  Expr_tbl.filter_map_inplace
+    (fun x _ -> Some (Policy.eval_normalized ~resolve e.policy x))
+    memo;
+  List.map (Expr_tbl.find memo) exprs
 
 let cite e query =
   Metrics.with_sink e.metrics @@ fun () ->
@@ -431,38 +604,39 @@ let cite e query =
       | disjuncts, _ -> (disjuncts, false)
     else ([ Cq.Query.strip_params query ], true)
   in
-  let per_tuple =
+  let answers =
     Metrics.record_time "eval" @@ fun () ->
     (* the shared eval cache (index memoization) is mutated during the
        run, so the evaluation itself is the critical section *)
-    locked e @@ fun () ->
-    List.fold_left
-      (fun m rw ->
+    let runs =
+      locked e @@ fun () ->
+      List.map
+        (fun rw -> (rw, Cq.Eval.run ~cache:e.eval_cache db rw))
+        selected_or_self
+    in
+    (* [Eval.run] is already grouped and sorted by tuple *)
+    match runs with
+    | [ (rw, rows) ] ->
+        List.map (fun (tuple, bindings) -> (tuple, [ (rw, bindings) ])) rows
+    | runs ->
         List.fold_left
-          (fun m (tuple, bindings) ->
-            let existing =
-              Option.value ~default:[] (R.Tuple.Map.find_opt tuple m)
-            in
-            R.Tuple.Map.add tuple ((rw, bindings) :: existing) m)
-          m
-          (Cq.Eval.run ~cache:e.eval_cache db rw))
-      R.Tuple.Map.empty selected_or_self
+          (fun m (rw, rows) ->
+            List.fold_left
+              (fun m (tuple, bindings) ->
+                let existing =
+                  Option.value ~default:[] (R.Tuple.Map.find_opt tuple m)
+                in
+                R.Tuple.Map.add tuple ((rw, bindings) :: existing) m)
+              m rows)
+          R.Tuple.Map.empty runs
+        |> R.Tuple.Map.bindings
   in
-  let resolve = resolve_leaf e in
-  let tuples =
-    R.Tuple.Map.bindings per_tuple
-    |> List.map (fun (tuple, contribs) ->
-           let expr =
-             Cite_expr.normalize (Compute.tuple_expr e.cviews (List.rev contribs))
-           in
-           let citations = Policy.eval ~resolve e.policy expr in
-           { tuple; expr; citations })
+  Metrics.record_time "construct" @@ fun () ->
+  let tuples, distinct, resolve = build e answers in
+  let result_expr = Cite_expr.normalize (Compute.result_expr distinct) in
+  let result_citations =
+    Policy.eval_normalized ~resolve e.policy result_expr
   in
-  let result_expr =
-    Cite_expr.normalize
-      (Compute.result_expr (List.map (fun t -> t.expr) tuples))
-  in
-  let result_citations = Policy.eval ~resolve e.policy result_expr in
   {
     query;
     rewritings;

@@ -13,7 +13,12 @@
       collecting all bindings per output tuple;
     + build per-tuple formal expressions (Definitions 2.1/2.2), the
       result-level [Agg], and their policy-evaluated concrete citation
-      sets; leaf citations are memoized per (view, valuation).
+      sets; leaf citations are memoized per (view, valuation).  This
+      {e construction} step ({!construct}) costs per distinct leaf and
+      per distinct tuple shape, not per tuple: each distinct leaf is
+      resolved once per cite, and tuples naming the same leaf sets share
+      one expression.  [cite] records the two halves under the
+      ["eval"] and ["construct"] timers.
 
     {b Thread safety: the shard-vs-mutex model.}  Concurrency safety
     and parallel speedup are provided by two different mechanisms:
@@ -24,8 +29,13 @@
       citations, and the evaluation index cache — are guarded by an
       internal mutex.  This is correct under systhreads and under
       domains alike, but the lock serializes the cache-touching hot
-      path, so it adds safety, not parallelism.  Each acquisition that
-      finds the lock already held bumps
+      path, so it adds safety, not parallelism.  A cite takes it a
+      fixed number of times — plan lookup, evaluation, and {e one}
+      pass resolving all of the answer's distinct leaves — however
+      many tuples or leaves the answer has, so
+      {!Metrics.Key.leaf_cache_hits} and [leaf_cache_misses] count
+      distinct leaves per cite, not leaf occurrences.  Each
+      acquisition that finds the lock already held bumps
       {!Metrics.Key.engine_lock_waits}, making the contention that
       sharding is supposed to remove directly measurable.  Metric
       recording itself never takes a shared lock: {!Metrics} keeps
@@ -142,12 +152,13 @@ val view_database : t -> Dc_relational.Database.t
 val eval_cache : t -> Dc_cq.Eval.cache
 (** The engine's shared evaluation cache: hash indexes keyed by
     (predicate, bound positions) {e and} compiled query plans keyed by
-    the query's printed form (see {!Dc_cq.Plan}).  Both kinds of entry
-    self-invalidate against the current relation values by physical
-    identity, so callers maintaining the database incrementally
-    ({!Incremental}) can keep reusing it across deltas.  Distinct from
-    the engine's rewriting-plan cache, which maps citation queries to
-    verified rewritings and is keyed by canonicalized query form. *)
+    the query structurally (see {!Dc_cq.Plan}, {!Dc_cq.Query.Tbl}).
+    Both kinds of entry self-invalidate against the current relation
+    values by physical identity, so callers maintaining the database
+    incrementally ({!Incremental}) can keep reusing it across deltas.
+    Distinct from the engine's rewriting-plan cache, which maps
+    citation queries to verified rewritings and is keyed by
+    canonicalized query form. *)
 
 val metrics : t -> Metrics.t
 (** This engine's metrics handle: plan/leaf/eval cache hit counters,
@@ -214,4 +225,27 @@ val cite_string : t -> string -> (result, string) Stdlib.result
 
 val resolve_leaf : t -> Cite_expr.leaf -> Citation.t
 (** The engine's memoized leaf resolver (exposed for tests and for
-    rendering formal expressions independently of [cite]). *)
+    rendering formal expressions independently of [cite]).  Takes the
+    lock once per call; {!cite}, {!construct} and {!evaluate} resolve
+    a whole batch of leaves per acquisition instead. *)
+
+type contribution = Dc_cq.Query.t * Dc_cq.Eval.Binding.t list
+(** A rewriting and its (non-empty) bindings producing one tuple. *)
+
+val construct :
+  t -> (Dc_relational.Tuple.t * contribution list) list -> tuple_citation list
+(** The construction half of {!cite}: per-tuple normalized expressions
+    ({!Compute.tuple_expr}, Definitions 2.1/2.2 and [+R]) and their
+    policy-evaluated citations, in input order.  Equal to the
+    per-tuple pipeline [Compute.tuple_expr] → [Cite_expr.normalize] →
+    [Policy.eval ~resolve:(resolve_leaf e)], but costed per distinct
+    leaf and per distinct tuple shape: distinct leaves are resolved in
+    one locked pass, and tuples whose bindings name the same leaf sets
+    share one expression and one policy evaluation.
+    {!Incremental} re-cites its affected tuples through this. *)
+
+val evaluate : t -> Cite_expr.t list -> Citation.Set.t list
+(** Concrete citations of {e normalized} expressions, in input order:
+    [Policy.eval_normalized ~resolve:(resolve_leaf e)] on each, with
+    every distinct leaf resolved in one locked pass and every distinct
+    expression evaluated once. *)

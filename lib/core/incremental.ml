@@ -25,15 +25,13 @@ let result_expr reg =
     (Compute.result_expr
        (List.map (fun (tc : Engine.tuple_citation) -> tc.expr) (tuples reg)))
 
-let result_citations reg =
-  Policy.eval
-    ~resolve:(Engine.resolve_leaf reg.engine)
-    (Engine.policy reg.engine) (result_expr reg)
+let citations_of reg expr = List.hd (Engine.evaluate reg.engine [ expr ])
+let result_citations reg = citations_of reg (result_expr reg)
 
 let to_result reg : Engine.result =
   let tuples = tuples reg in
   let result_expr = result_expr reg in
-  let result_citations = result_citations reg in
+  let result_citations = citations_of reg result_expr in
   {
     Engine.query = reg.query;
     rewritings = reg.selected;
@@ -240,11 +238,9 @@ let apply_delta ?new_base reg delta =
     |> List.sort_uniq R.Tuple.compare
   in
   (* 4. Recompute bindings and expressions for affected tuples only. *)
-  let resolve = Engine.resolve_leaf new_engine in
-  let policy = Engine.policy new_engine in
-  let cache =
-    List.fold_left
-      (fun cache tuple ->
+  let recomputed, vanished =
+    List.partition_map
+      (fun tuple ->
         let contribs =
           List.filter_map
             (fun rw ->
@@ -255,20 +251,17 @@ let apply_delta ?new_base reg delta =
                   if bindings = [] then None else Some (rw', bindings))
             reg.selected
         in
-        if contribs = [] then R.Tuple.Map.remove tuple cache
-        else
-          let expr =
-            Cite_expr.normalize
-              (Cite_expr.alt_r
-                 (List.map
-                    (fun (rw', bindings) ->
-                      Cite_expr.alt
-                        (List.map (Compute.binding_expr cviews rw') bindings))
-                    contribs))
-          in
-          let citations = Policy.eval ~resolve policy expr in
-          R.Tuple.Map.add tuple { Engine.tuple; expr; citations } cache)
-      reg.cache affected
+        if contribs = [] then Right tuple else Left (tuple, contribs))
+      affected
+  in
+  let cache =
+    List.fold_left (fun m t -> R.Tuple.Map.remove t m) reg.cache vanished
+  in
+  let cache =
+    List.fold_left
+      (fun m (tc : Engine.tuple_citation) -> R.Tuple.Map.add tc.tuple tc m)
+      cache
+      (Engine.construct new_engine recomputed)
   in
   (* 5. Citation-query dirtiness: snippets live in the base database, so
      a delta touching a citation query's relations stales the concrete
@@ -291,17 +284,23 @@ let apply_delta ?new_base reg delta =
   let cache =
     if dirty_views = [] then cache
     else
-      R.Tuple.Map.map
-        (fun (tc : Engine.tuple_citation) ->
-          let mentions =
-            List.exists
-              (fun (l : Cite_expr.leaf) -> List.mem l.view dirty_views)
-              (Cite_expr.leaves tc.expr)
-          in
-          if mentions then
-            { tc with citations = Policy.eval ~resolve policy tc.expr }
-          else tc)
-        cache
+      let stale =
+        R.Tuple.Map.fold
+          (fun _ (tc : Engine.tuple_citation) acc ->
+            if
+              List.exists
+                (fun (l : Cite_expr.leaf) -> List.mem l.view dirty_views)
+                (Cite_expr.leaves tc.expr)
+            then tc :: acc
+            else acc)
+          cache []
+      in
+      List.fold_left2
+        (fun m (tc : Engine.tuple_citation) citations ->
+          R.Tuple.Map.add tc.tuple { tc with citations } m)
+        cache stale
+        (Engine.evaluate new_engine
+           (List.map (fun (tc : Engine.tuple_citation) -> tc.expr) stale))
   in
   Log.debug (fun m ->
       m "apply_delta: %d changes, %d view(s) changed, %d output tuple(s) \

@@ -47,7 +47,15 @@ val eval :
   resolve:(Cite_expr.leaf -> Citation.t) -> t -> Cite_expr.t -> Citation.Set.t
 (** Interprets the expression bottom-up; [resolve] turns a [CV(p̄)] leaf
     into its concrete citation (typically {!Citation_view.cite},
-    memoized by the engine). *)
+    memoized by the engine).  The expression is {!Cite_expr.normalize}d
+    first. *)
+
+val eval_normalized :
+  resolve:(Cite_expr.leaf -> Citation.t) -> t -> Cite_expr.t -> Citation.Set.t
+(** {!eval} on an expression the caller already normalized: no second
+    normalization pass.  On a non-normalized expression the result may
+    differ from {!eval}'s (operand order decides [First] and
+    [Min_size] ties, and duplicates survive under [Join]). *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -25,9 +25,9 @@ type t = {
      are cached forever — fixity verification of an evicted version
      must not depend on LRU luck. *)
   digests : (VS.version, string) Hashtbl.t;
-  (* Head-version incremental registrations, keyed by the registered
-     query's rendering.  Mutated only under [commit_mu]. *)
-  mutable regs : (string * Incremental.t) list;
+  (* Head-version incremental registrations, matched to queries
+     structurally ([registered]).  Mutated only under [commit_mu]. *)
+  mutable regs : Incremental.t list;
   (* Durable backing, when armed ([set_durability]): commits and
      registrations append to its WAL {e before} publishing, so the
      in-memory head never runs ahead of the log.  Read and written only
@@ -106,7 +106,9 @@ let timestamp t v = VS.timestamp (snapshot t) v
 let metrics t = t.metrics
 let capacity t = t.capacity
 let cached_versions t = locked t (fun () -> List.map fst t.engines)
-let registrations t = locked t (fun () -> List.map fst t.regs)
+let registrations t =
+  locked t (fun () ->
+      List.map (fun reg -> Cq.Query.to_string (Incremental.query reg)) t.regs)
 
 (* Evict LRU entries beyond [capacity], never the head version: a burst
    of historical [cite_at]s must not cold-start the head hot path. *)
@@ -200,12 +202,14 @@ let stamped t v ~from_registration result =
       })
     (digest_at t v)
 
-let reg_key q = Cq.Query.to_string q
+(* Registrations are matched structurally, never by printed form: the
+   printer conflates e.g. [1] and [1.0]. *)
+let registered q reg = Cq.Query.equal_syntactic (Incremental.query reg) q
 
 let cite_at t v q =
   let from_reg =
     locked t (fun () ->
-        if v = VS.head t.store then List.assoc_opt (reg_key q) t.regs
+        if v = VS.head t.store then List.find_opt (registered q) t.regs
         else None)
   in
   match from_reg with
@@ -275,16 +279,17 @@ let register_gen ~durable t q =
      citations. *)
   let reg = Incremental.register (Engine.replicate eng) q in
   Result.bind (guard_derived eng q reg) @@ fun () ->
-  let key = reg_key q in
   let logged =
     match t.durability with
-    | Some d when durable -> Dc_storage.Store.append_register d key
+    | Some d when durable ->
+        Dc_storage.Store.append_register d (Cq.Query.to_string q)
     | _ -> Ok ()
   in
   Result.map
     (fun () ->
       locked t (fun () ->
-          t.regs <- (key, reg) :: List.remove_assoc key t.regs))
+          t.regs <-
+            reg :: List.filter (fun r -> not (registered q r)) t.regs))
     logged
 
 let register t q = register_gen ~durable:true t q
@@ -321,8 +326,7 @@ let commit_delta t delta =
          derived state cannot diverge. *)
       let regs' =
         List.map
-          (fun (k, reg) ->
-            (k, Incremental.apply_delta ~new_base:new_db reg delta))
+          (fun reg -> Incremental.apply_delta ~new_base:new_db reg delta)
           t.regs
       in
       Metrics.with_sink t.metrics (fun () ->
@@ -344,7 +348,7 @@ let commit_delta t delta =
 
 let pp ppf t =
   let store, cached, regs =
-    locked t (fun () -> (t.store, List.map fst t.engines, List.map fst t.regs))
+    locked t (fun () -> (t.store, List.map fst t.engines, t.regs))
   in
   Format.fprintf ppf
     "@[<v>head      : %d@,versions  : %d@,cached    : [%s]@,capacity  : \

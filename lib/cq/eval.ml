@@ -39,7 +39,8 @@ let is_truth atom = Atom.pred atom = "True" && Atom.args atom = []
    database evolution story:
    - [indexes]: hash indexes keyed by (predicate, bound positions), each
      remembering the relation value it was built from;
-   - [plans]: compiled plans keyed by the query's printed form, each
+   - [plans]: compiled plans keyed by the query itself (structurally,
+     constants by value — printed forms conflate [1] and [1.0]), each
      remembering the relation values it captured ({!Plan.valid});
    - [stats]: cardinality/distinct-count statistics feeding the
      compile-time join order, self-validating the same way.
@@ -48,14 +49,14 @@ let is_truth atom = Atom.pred atom = "True" && Atom.args atom = []
    persistent databases; stale entries rebuild transparently. *)
 type cache = {
   indexes : (string * int list, R.Relation.t * R.Index.t) Hashtbl.t;
-  plans : (string, Plan.t) Hashtbl.t;
+  plans : Plan.t Query.Tbl.t;
   stats : R.Stats.t;
 }
 
 let make_cache () =
   {
     indexes = Hashtbl.create 32;
-    plans = Hashtbl.create 32;
+    plans = Query.Tbl.create 32;
     stats = R.Stats.create ();
   }
 
@@ -84,8 +85,7 @@ let index_for cache db pred positions =
 let max_plans = 1024
 
 let plan_for cache db q =
-  let key = Query.to_string q in
-  match Hashtbl.find_opt cache.plans key with
+  match Query.Tbl.find_opt cache.plans q with
   | Some p when Plan.valid p db ->
       Metrics.record Metrics.Key.eval_plan_hits;
       p
@@ -98,9 +98,9 @@ let plan_for cache db q =
               ~index:(fun pred positions -> index_for cache db pred positions)
               db q)
       in
-      if stale = None && Hashtbl.length cache.plans >= max_plans then
-        Hashtbl.reset cache.plans;
-      Hashtbl.replace cache.plans key p;
+      if stale = None && Query.Tbl.length cache.plans >= max_plans then
+        Query.Tbl.reset cache.plans;
+      Query.Tbl.replace cache.plans q p;
       p
 
 (* Every emission of one plan binds the same variable set, so the

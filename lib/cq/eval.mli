@@ -42,9 +42,10 @@ end
 type cache
 (** A reusable evaluation cache holding hash indexes, compiled plans
     and the statistics that feed the compile-time join order.  Plans
-    are keyed by the query's printed form; indexes by (predicate, bound
-    positions).  Every entry is validated against the current relation
-    values by physical identity, so one cache can safely serve many
+    are keyed by the query itself ({!Query.Tbl}: structural, constants
+    compared by value); indexes by (predicate, bound positions).  Every
+    entry is validated against the current relation values by physical
+    identity, so one cache can safely serve many
     evaluations over evolving persistent databases: stale entries are
     rebuilt transparently.  The plan table is capacity-bounded (reset
     on overflow) because delta queries pin fresh constants and would

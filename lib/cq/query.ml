@@ -127,6 +127,32 @@ let compare_syntactic a b =
 
 let equal_syntactic a b = compare_syntactic a b = 0
 
+(* Constants hash through [Value.hash], never through their printed
+   form: [Value.pp] prints floats with [%g], so [R(X,1)] and [R(X,1.0)]
+   print alike but must not share a cache entry. *)
+let hash q =
+  let mix h x = (h * 31) + x in
+  let term h = function
+    | Term.Var v -> mix (mix h 0) (Hashtbl.hash v)
+    | Term.Const c -> mix (mix h 1) (Dc_relational.Value.hash c)
+  in
+  let terms = List.fold_left term in
+  let h =
+    List.fold_left
+      (fun h p -> mix h (Hashtbl.hash p))
+      (Hashtbl.hash q.name) q.params
+  in
+  List.fold_left
+    (fun h (a : Atom.t) -> terms (mix h (Hashtbl.hash a.pred)) a.args)
+    (terms h q.head) q.body
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal_syntactic
+  let hash = hash
+end)
+
 let pp ppf q =
   let pp_terms ppf ts =
     Format.pp_print_list

@@ -79,5 +79,13 @@ val equal_syntactic : t -> t -> bool
 
 val compare_syntactic : t -> t -> int
 
+val hash : t -> int
+(** A hash consistent with {!equal_syntactic}.  Constants hash by value
+    ({!Dc_relational.Value.hash}), not by their printed form, which
+    conflates e.g. [1] with [1.0]. *)
+
+(** Hash tables keyed structurally by {!equal_syntactic}. *)
+module Tbl : Hashtbl.S with type key = t
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

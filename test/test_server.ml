@@ -94,6 +94,11 @@ let test_concurrent_clients () =
   let body = expect_ok "stats" (request server "STATS") in
   Alcotest.(check bool) "counters" true (contains body {|"counters":{|});
   Alcotest.(check bool) "timers" true (contains body {|"timers":{|});
+  (* a warm cite splits into its two timed halves *)
+  Alcotest.(check bool) "eval timer" true (contains body {|"eval":{|});
+  Alcotest.(check bool)
+    "construct timer" true
+    (contains body {|"construct":{|});
   Alcotest.(check bool)
     "server_requests surfaced" true
     (contains body {|"server_requests":10|})
