@@ -1967,3 +1967,110 @@ let e22 () =
      per distinct leaf and tuple shape, and this answer cites the same\n\
      leaves for every tuple — while the per-tuple pipeline grows with\n\
      the answer)\n"
+
+(* ------------------------------------------------------------------ *)
+(* E23: the cost of citing a never-seen constant, against how many    *)
+(* constants the engine has already cited.                            *)
+
+let e23 () =
+  hr "E23  New-constant cite vs constants cited before (lookup shapes)";
+  let shapes =
+    [
+      ("Family(k,N,T)", Printf.sprintf "Q(N,T) :- Family(%d,N,T)");
+      ( "Family(k,..),FamilyIntro(k,..)",
+        fun k -> Printf.sprintf "Q(N,X) :- Family(%d,N,T), FamilyIntro(%d,X)" k k );
+    ]
+  in
+  let checkpoints = [ 250; 500; 1000; 2000 ] and probes = 100 in
+  let db = G.generate ~seed:4 ~config:(families 4000) () in
+  Printf.printf
+    "4000 families, paper views, default selection; one engine per shape.\n\
+     At each checkpoint the engine has cited that many distinct keys; then\n\
+     %d never-seen keys are cited (new) and %d already-cited ones (repeat).\n\
+     Median per-cite time.  compiles: plan compilations over the whole\n\
+     run / compilations of the first cite (1.00 = once per query shape)\n\n"
+    probes probes;
+  let widths = [ 31; 9; 9; 10; 10; 10; 9 ] in
+  header widths
+    [ "shape"; "cited"; "new ms"; "repeat ms"; "new/rep"; "plan miss"; "compiles" ];
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let rows =
+    List.map
+      (fun (label, src) ->
+        let e = C.Engine.create db Dc_gtopdb.Paper_views.all in
+        let m = C.Engine.metrics e in
+        let query k = Cq.Parser.parse_query_exn (src k) in
+        let cite k = snd (time_ms (fun () -> ignore (C.Engine.cite e (query k)))) in
+        let compiles () = C.Metrics.count m C.Metrics.Key.plan_compiles in
+        let c0 = compiles () in
+        ignore (cite 1);
+        let first = compiles () - c0 in
+        let cited = ref 1 in
+        let points =
+          List.map
+            (fun n ->
+              while !cited < n do
+                incr cited;
+                ignore (cite !cited)
+              done;
+              let fresh = List.init probes (fun i -> cite (n + 1 + i)) in
+              cited := n + probes;
+              let repeat = List.init probes (fun i -> cite (1 + (i * 7 mod n))) in
+              (n, median fresh, median repeat))
+            checkpoints
+        in
+        let misses = C.Metrics.count m C.Metrics.Key.plan_cache_misses in
+        let per_shape =
+          float_of_int (compiles () - c0) /. float_of_int (max 1 first)
+        in
+        List.iter
+          (fun (n, fresh, repeat) ->
+            row widths
+              [
+                label;
+                string_of_int n;
+                Printf.sprintf "%.4f" fresh;
+                Printf.sprintf "%.4f" repeat;
+                Printf.sprintf "%.2f" (fresh /. repeat);
+                string_of_int misses;
+                Printf.sprintf "%.2f" per_shape;
+              ])
+          points;
+        (label, points, misses, per_shape))
+      shapes
+  in
+  write_bench_json ~experiment:"E23"
+    [
+      ("families", "4000");
+      ("probes", string_of_int probes);
+      ( "shapes",
+        json_list
+          (List.map
+             (fun (label, points, misses, per_shape) ->
+               json_obj
+                 [
+                   ("shape", json_str label);
+                   ("plan_cache_misses", string_of_int misses);
+                   ("compiles_per_shape", Printf.sprintf "%.3f" per_shape);
+                   ( "rows",
+                     json_list
+                       (List.map
+                          (fun (n, fresh, repeat) ->
+                            json_obj
+                              [
+                                ("cited_before", string_of_int n);
+                                ("new_constant_ms", Printf.sprintf "%.4f" fresh);
+                                ("repeat_ms", Printf.sprintf "%.4f" repeat);
+                              ])
+                          points) );
+                 ])
+             rows) );
+    ];
+  Printf.printf
+    "(expected: new-constant cost flat in the number of constants cited\n\
+     before and close to the repeat cost — one rewriting plan and one\n\
+     compiled plan per query shape)\n"

@@ -119,6 +119,7 @@ let () =
       ("E19", Experiments.e19);
       ("E20", Experiments.e20);
       ("E22", Experiments.e22);
+      ("E23", Experiments.e23);
     ]
   in
   let to_run =

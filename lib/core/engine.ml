@@ -8,12 +8,15 @@ module Log = (val Logs.src_log log_src)
 
 type selection = [ `All | `Min_estimated_size | `Min_exact_size ]
 
-(* A memoized rewriting search result.  [canonical] is the minimized
-   (core) form of the stripped query the plan was computed for: two
-   queries share a plan iff their cores are equivalent, which holds iff
-   the queries are.  The maximally-contained fallback is filled in
-   lazily on first use. *)
+(* A memoized rewriting search result, computed for one query shape.
+   [plan_form] is the generalized canonical form the search ran on (see
+   [generalize]); [canonical] is its minimized core: two shapes share a
+   plan iff their cores are equivalent, which holds iff the forms are.
+   The rewritings — and the maximally-contained fallback, filled in
+   lazily on first use — are over [plan_form]'s variables and named after
+   [form_name]; [instantiate] turns them into a citing query's. *)
 type plan = {
+  plan_form : Cq.Query.t;
   canonical : Cq.Query.t;
   plan_rewritings : Cq.Query.t list;
   plan_stats : Rw.Rewrite.stats;
@@ -21,14 +24,16 @@ type plan = {
 }
 
 (* Two-level lookup: a cheap canonical-form key catches repeats of the
-   same (or alpha-renamed) query with zero containment work; the
-   sorted-predicate-multiset buckets catch any other equivalent form
-   via Chandra-Merlin equivalence of the cores.  Plans depend only on
-   the view set, never on the data, so the cache is shared by [refresh]
-   and [with_databases] copies of the engine. *)
+   same (or alpha-renamed, or constant-varying) query with zero
+   containment work; the sorted-predicate-multiset buckets catch any
+   other equivalent form via Chandra-Merlin equivalence of the cores.
+   Plans depend only on the view set, never on the data, so the cache
+   is shared by every copy of the engine — [refresh], [with_databases]
+   and [replicate] — under a lock of its own. *)
 type plan_cache = {
   by_form : plan Cq.Query.Tbl.t;
   by_preds : (string, plan list ref) Hashtbl.t;
+  plan_lock : Mutex.t;
 }
 
 (* Leaf keys are structural — the view name and its params — so no
@@ -49,9 +54,15 @@ type t = {
       (** IDB extents materialized from [program] by {!Dc_cq.Seminaive};
           empty for program-free engines *)
   full : R.Database.t;  (** [base] + [derived]: what citation queries see *)
+  eval_db : R.Database.t;
+      (** [full] + [view_db]: what rewritings are evaluated against — a
+          partial rewriting's uncovered subgoals reference the base
+          schema (or a recursive predicate's extent) directly *)
   program : Cq.Program.t option;
   cviews : Citation_view.Set.t;
   views : Rw.View.Set.t;
+  view_constants : R.Value.t list;
+      (** constants of the view definitions: kept inline by [generalize] *)
   view_db : R.Database.t;
   policy : Policy.t;
   selection : selection;
@@ -64,24 +75,26 @@ type t = {
   (* Optional domain pool: when present, the rewriting search inside
      [plan_for] verifies candidates in parallel across its domains. *)
   pool : Dc_parallel.Domain_pool.t option;
-  (* Guards every shared mutable cache (plan, leaf, eval) so one engine
+  (* Guards the shared mutable data caches (leaf, eval) so one engine
      can serve concurrent threads (the server's worker pool).  [refresh]
      and [with_databases] copies share the caches, hence also the lock;
-     [replicate] shards get fresh caches and a fresh lock. *)
+     [replicate] shards get fresh ones and a fresh lock. *)
   lock : Mutex.t;
 }
 
-(* Every [locked] call site runs under [with_sink e.metrics], so a
+(* Every [with_lock] call site runs under [with_sink e.metrics], so a
    contended acquisition is charged to the engine's own registry as
    well as the default one.  [try_lock] first: the uncontended path
    costs one atomic attempt, the contended one is counted — that
    counter is exactly what E14 uses to attribute (lack of) scaling. *)
-let locked e f =
-  if not (Mutex.try_lock e.lock) then begin
+let with_lock m f =
+  if not (Mutex.try_lock m) then begin
     Metrics.record Metrics.Key.engine_lock_waits;
-    Mutex.lock e.lock
+    Mutex.lock m
   end;
-  Fun.protect ~finally:(fun () -> Mutex.unlock e.lock) f
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
+let locked e f = with_lock e.lock f
 
 let materialize ?cache base cviews =
   List.fold_left
@@ -93,6 +106,14 @@ let materialize ?cache base cviews =
 
 let merge_full base derived =
   List.fold_left R.Database.add_relation base (R.Database.relations derived)
+
+let view_constants cviews =
+  List.concat_map
+    (fun cv ->
+      let q = Citation_view.definition cv in
+      List.filter_map Cq.Term.value (Cq.Query.head q)
+      @ List.concat_map Cq.Atom.constants (Cq.Query.body q))
+    cviews
 
 (* Materialize a program's IDB predicates into their own database; the
    semi-naive run validates name collisions and stratification was
@@ -135,9 +156,11 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     base;
     derived;
     full;
+    eval_db = merge_full full view_db;
     program;
     cviews;
     views = Citation_view.Set.view_set cviews;
+    view_constants = view_constants cview_list;
     view_db;
     policy;
     selection;
@@ -148,7 +171,12 @@ let make_engine ~policy ~selection ~partial ~fallback_contained ~pool ~metrics
     (* the plan cache is keyed by the view set, which is fixed at
        creation: a fresh engine (possibly with different views) always
        starts cold *)
-    plans = { by_form = Cq.Query.Tbl.create 16; by_preds = Hashtbl.create 16 };
+    plans =
+      {
+        by_form = Cq.Query.Tbl.create 16;
+        by_preds = Hashtbl.create 16;
+        plan_lock = Mutex.create ();
+      };
     metrics;
     pool;
     lock = Mutex.create ();
@@ -182,16 +210,15 @@ let of_program ?(policy = Policy.default) ?(selection = `Min_estimated_size)
     ~program:(Some program) ~eval_cache base derived cview_list
 
 (* A shard replica: same immutable data (base, materialized views, view
-   set, policy, pool) and the same metrics registry, but private caches
-   and a private lock.  Replicas therefore never contend on the hot
-   path — that is the whole point of sharding — at the price of each
-   shard warming its own plan/leaf/eval caches. *)
+   set, policy, pool), the same metrics registry and the same
+   rewriting plans, but private leaf/eval caches and a private lock.
+   Replicas therefore contend only for the plan cache's lookup — one
+   short critical section per cite — and warm their own data caches. *)
 let replicate e =
   {
     e with
     leaf_cache = Leaf_tbl.create 64;
     eval_cache = Cq.Eval.make_cache ();
-    plans = { by_form = Cq.Query.Tbl.create 16; by_preds = Hashtbl.create 16 };
     lock = Mutex.create ();
   }
 
@@ -219,7 +246,7 @@ let metrics e = e.metrics
    data — must be dropped.  [refresh] re-derives the program's IDB
    extents before rematerializing the views over them. *)
 let refresh e base =
-  let derived, view_db =
+  let derived, full, view_db =
     Metrics.with_sink e.metrics (fun () ->
         locked e (fun () ->
             let derived =
@@ -234,13 +261,14 @@ let refresh e base =
               Metrics.record_time "materialize" (fun () ->
                   materialize ~cache:e.eval_cache full e.cviews)
             in
-            (derived, view_db)))
+            (derived, full, view_db)))
   in
   {
     e with
     base;
     derived;
-    full = merge_full base derived;
+    full;
+    eval_db = merge_full full view_db;
     view_db;
     leaf_cache = Leaf_tbl.create 64;
   }
@@ -249,10 +277,12 @@ let refresh e base =
    as-is.  {!Versioned_engine}'s registration guard refuses queries that
    read derived predicates, so maintained engines never observe them. *)
 let with_databases e ~base ~view_db =
+  let full = merge_full base e.derived in
   {
     e with
     base;
-    full = merge_full base e.derived;
+    full;
+    eval_db = merge_full full view_db;
     view_db;
     leaf_cache = Leaf_tbl.create 64;
   }
@@ -308,59 +338,131 @@ let select e rewritings =
   | `Min_exact_size, rs ->
       Option.to_list (Rw.Cost.choose_min_size ~exact:true e.full e.views rs)
 
-(* Rewritings are evaluated over the materialized views merged with the
-   base and derived relations: a partial rewriting's uncovered subgoals
-   reference the base schema (or a recursive predicate's materialized
-   extent) directly. *)
-let eval_db e =
-  List.fold_left R.Database.add_relation e.full
-    (R.Database.relations e.view_db)
+let merged_database e = e.eval_db
 
-let merged_database = eval_db
+(* The rewriting-plan cache's key (see engine.mli): each distinct body
+   constant no view definition mentions, by [Value.equal], becomes a
+   variable appended to the head — it behaves exactly like a
+   distinguished variable under containment — then body atoms are
+   grouped by predicate (stable: alpha-renamings, not arbitrary
+   permutations, share a form) and variables renamed x<i> in order of
+   first occurrence.  Other equivalent forms fall through to the
+   core-equivalence scan of [plan_for].  [back] maps each form variable
+   to the query's own term: its variable, or the lifted constant. *)
 
-(* A cheap, containment-free canonical form used as the plan cache's
-   fast path: group body atoms by predicate (stable, so the reorder is
-   independent of variable names only across alpha-renaming, not across
-   arbitrary body permutations), then rename every variable to x<i> in
-   order of first occurrence.  Alpha-renamed repeats of a query
-   therefore share one form; any other equivalent form falls through to
-   the core-equivalence scan below.  The form is compared structurally,
-   never by its printed text, which conflates e.g. [1] and [1.0]. *)
-let canonical_form q =
+let form_name = "q"
+
+type generalized = { form : Cq.Query.t; back : Cq.Subst.t }
+
+let mem_value c = List.exists (R.Value.equal c)
+
+let generalize e q =
   let body =
     List.stable_sort
       (fun a b -> String.compare (Cq.Atom.pred a) (Cq.Atom.pred b))
       (Cq.Query.body q)
   in
-  let q = Cq.Query.make_exn ~name:"q" ~head:(Cq.Query.head q) ~body () in
-  let subst =
-    Cq.Subst.of_list
-      (List.mapi
-         (fun i v -> (v, Cq.Term.Var (Printf.sprintf "x%d" i)))
-         (Cq.Query.all_vars q))
+  let lifted =
+    List.fold_left
+      (fun acc c ->
+        if mem_value c e.view_constants || mem_value c acc then acc
+        else c :: acc)
+      []
+      (List.concat_map Cq.Atom.constants body)
+    |> List.rev
   in
-  Cq.Query.apply_subst subst q
+  let names = ref [] in
+  let rename t =
+    match List.find_opt (fun (t', _) -> Cq.Term.equal t t') !names with
+    | Some (_, x) -> Cq.Term.Var x
+    | None ->
+        let x = Printf.sprintf "x%d" (List.length !names) in
+        names := (t, x) :: !names;
+        Cq.Term.Var x
+  in
+  let term = function
+    | Cq.Term.Var _ as t -> rename t
+    | Cq.Term.Const c as t -> if mem_value c lifted then rename t else t
+  in
+  let head = List.map term (Cq.Query.head q) in
+  let body =
+    List.map
+      (fun a -> Cq.Atom.make (Cq.Atom.pred a) (List.map term (Cq.Atom.args a)))
+      body
+  in
+  let params = List.map (fun c -> rename (Cq.Term.Const c)) lifted in
+  {
+    form = Cq.Query.make_exn ~name:form_name ~head:(head @ params) ~body ();
+    back = Cq.Subst.of_list (List.map (fun (t, x) -> (x, t)) !names);
+  }
+
+(* A plan's rewritings as rewritings of [query]: [theta] maps the plan
+   form's variables to [query]'s terms; any other variable of a
+   rewriting (one the search introduced) that [query] also uses is
+   renamed apart.  The lifted-constant head columns are dropped and the
+   [form_name] prefix of each name becomes [query]'s name. *)
+let instantiate ~theta query rewritings =
+  let taken = Cq.Query.all_vars query in
+  let name = Cq.Query.name query and arity = Cq.Query.arity query in
+  let prefix = String.length form_name in
+  List.map
+    (fun r ->
+      let used = ref (Cq.Query.all_vars r @ taken) in
+      let rec fresh v =
+        if List.mem v !used then fresh (v ^ "'")
+        else begin
+          used := v :: !used;
+          v
+        end
+      in
+      let theta =
+        List.fold_left
+          (fun s w ->
+            if Cq.Subst.mem theta w || not (List.mem w taken) then s
+            else Cq.Subst.bind s w (Cq.Term.Var (fresh w)))
+          theta (Cq.Query.all_vars r)
+      in
+      let r = Cq.Query.apply_subst theta r in
+      let rname = Cq.Query.name r in
+      Cq.Query.make_exn
+        ~name:(name ^ String.sub rname prefix (String.length rname - prefix))
+        ~head:(List.filteri (fun i _ -> i < arity) (Cq.Query.head r))
+        ~body:(Cq.Query.body r) ())
+    rewritings
+
+(* [theta] for a plan found under an equivalent but different form:
+   equivalent queries agree position by position on their heads. *)
+let head_theta plan (g : generalized) =
+  List.fold_left2
+    (fun s p t ->
+      match p with
+      | Cq.Term.Var x when not (Cq.Subst.mem s x) ->
+          Cq.Subst.bind s x (Cq.Subst.apply_term g.back t)
+      | _ -> s)
+    Cq.Subst.empty (Cq.Query.head plan.plan_form) (Cq.Query.head g.form)
 
 let pred_multiset q =
   String.concat ","
     (List.sort String.compare (List.map Cq.Atom.pred (Cq.Query.body q)))
 
-(* The memoized rewriting search.  Equivalent queries (same answers on
-   every database) have interchangeable rewriting sets, so a hit is
-   keyed up to Chandra-Merlin equivalence: first the canonical form,
-   then — because equivalent minimal queries are isomorphic, hence
-   share their predicate multiset — an equivalence scan within the
-   core's predicate-multiset bucket. *)
+(* The memoized rewriting search, one plan per query shape.  Equivalent
+   queries (same answers on every database) have interchangeable
+   rewriting sets, so a hit is keyed up to Chandra-Merlin equivalence:
+   first the canonical form, then — because equivalent minimal queries
+   are isomorphic, hence share their predicate multiset — an
+   equivalence scan within the core's predicate-multiset bucket.
+   Returns the plan and the [theta] that instantiates it for [query]. *)
 let plan_for e query =
-  locked e @@ fun () ->
-  let stripped = Cq.Query.strip_params query in
-  let form = canonical_form stripped in
-  match Cq.Query.Tbl.find_opt e.plans.by_form form with
+  let g = generalize e (Cq.Query.strip_params query) in
+  with_lock e.plans.plan_lock @@ fun () ->
+  match Cq.Query.Tbl.find_opt e.plans.by_form g.form with
   | Some plan ->
       Metrics.record Metrics.Key.plan_cache_hits;
-      plan
+      (* the form may have been filed under an equivalent plan's *)
+      if Cq.Query.equal_syntactic plan.plan_form g.form then (plan, g.back)
+      else (plan, head_theta plan g)
   | None -> (
-      let minimized = Cq.Minimize.minimize stripped in
+      let minimized = Cq.Minimize.minimize g.form in
       let pkey = pred_multiset minimized in
       let bucket =
         match Hashtbl.find_opt e.plans.by_preds pkey with
@@ -377,17 +479,18 @@ let plan_for e query =
       with
       | Some plan ->
           Metrics.record Metrics.Key.plan_cache_hits;
-          Cq.Query.Tbl.replace e.plans.by_form form plan;
-          plan
+          Cq.Query.Tbl.replace e.plans.by_form g.form plan;
+          (plan, head_theta plan g)
       | None ->
           Metrics.record Metrics.Key.plan_cache_misses;
           let { Rw.Rewrite.queries = rewritings; stats } =
             Metrics.record_time "rewrite" (fun () ->
                 Rw.Rewrite.search ~partial:e.partial ?pool:e.pool e.views
-                  stripped)
+                  g.form)
           in
           let plan =
             {
+              plan_form = g.form;
               canonical = minimized;
               plan_rewritings = rewritings;
               plan_stats = stats;
@@ -395,20 +498,20 @@ let plan_for e query =
             }
           in
           bucket := plan :: !bucket;
-          Cq.Query.Tbl.replace e.plans.by_form form plan;
-          plan)
+          Cq.Query.Tbl.replace e.plans.by_form g.form plan;
+          (plan, g.back))
 
-let contained_for e plan query =
-  locked e @@ fun () ->
+let contained_for e plan =
+  with_lock e.plans.plan_lock @@ fun () ->
   match plan.plan_contained with
-  | Some r -> r
+  | Some (rs, _) -> rs
   | None ->
       let r =
         Metrics.record_time "rewrite" (fun () ->
-            Rw.Rewrite.maximally_contained e.views query)
+            Rw.Rewrite.maximally_contained e.views plan.plan_form)
       in
       plan.plan_contained <- Some r;
-      r
+      fst r
 
 (* Citation construction, costed per distinct leaf and per distinct
    tuple shape rather than per tuple.
@@ -585,23 +688,24 @@ let evaluate e exprs =
 
 let cite e query =
   Metrics.with_sink e.metrics @@ fun () ->
-  let plan = plan_for e query in
-  let rewritings = plan.plan_rewritings and stats = plan.plan_stats in
+  let plan, theta = plan_for e query in
+  let rewritings = instantiate ~theta query plan.plan_rewritings in
+  let stats = plan.plan_stats in
   let selected = select e rewritings in
   Log.debug (fun m ->
       m "cite %s: %d candidates, %d rewritings, %d selected"
         (Cq.Query.name query) stats.candidates (List.length rewritings)
         (List.length selected));
-  let db = eval_db e in
+  let db = e.eval_db in
   (* An uncovered query still gets its answer — with no citation by
      default, or best-effort through the maximally contained rewriting
      when the engine was created with [fallback_contained]. *)
   let selected_or_self, complete =
     if selected <> [] then (selected, true)
     else if e.fallback_contained then
-      match contained_for e plan query with
-      | [], _ -> ([ Cq.Query.strip_params query ], true)
-      | disjuncts, _ -> (disjuncts, false)
+      match contained_for e plan with
+      | [] -> ([ Cq.Query.strip_params query ], true)
+      | disjuncts -> (instantiate ~theta query disjuncts, false)
     else ([ Cq.Query.strip_params query ], true)
   in
   let answers =

@@ -4,7 +4,8 @@
     cost shortcut:
 
     + rewrite the (parameter-stripped) query into its minimal
-      equivalent rewritings over the citation views (MiniCon + verify);
+      equivalent rewritings over the citation views (MiniCon + verify),
+      once per query {e shape} (see the plan cache below);
     + optionally {e select} rewritings before any evaluation — with
       [selection = `Min_estimated_size] only the rewriting with the
       smallest estimated citation is evaluated, so the engine never
@@ -20,18 +21,39 @@
       one expression.  [cite] records the two halves under the
       ["eval"] and ["construct"] timers.
 
+    {b The rewriting-plan cache.}  Before the lookup the query is
+    generalized: each distinct body constant (by value, never by its
+    printed form) becomes a parameter variable exposed at the end of
+    the head, then variables are renamed canonically.  The cache is
+    keyed by that form, so [Q(N,T) :- Family(1,N,T)] and
+    [P(A,B) :- Family(2,A,B)] share one plan — one rewriting search,
+    one entry — and a never-seen constant costs what a repeat does.
+    {b A constant that occurs in some view definition stays inline}
+    (as do head-only constants): such a constant can select a view, so
+    lifting it would lose that view's rewritings; a constant no view
+    mentions behaves exactly like a distinguished variable under
+    containment, so lifting it keeps the rewriting set exact.  The
+    cached rewritings are stored over the form's variables; each cite
+    substitutes its own constants, variables and name back
+    ([Q_rw0(N,T) :- V1(1,N,T)]), so an answer never depends on which
+    query filled the cache.  Selection and construction run per cite
+    on the instantiated rewritings.  A query equivalent to a cached
+    one under a different form hits the plan through a containment
+    check and gets its rewritings mapped head position by head
+    position.
+
     {b Thread safety: the shard-vs-mutex model.}  Concurrency safety
     and parallel speedup are provided by two different mechanisms:
 
     - {e mutex} — one engine may serve {!cite} / {!cite_string} /
       {!resolve_leaf} calls from any number of threads {e or domains}
-      concurrently: the shared mutable caches — rewriting plans, leaf
-      citations, and the evaluation index cache — are guarded by an
-      internal mutex.  This is correct under systhreads and under
+      concurrently: the shared mutable caches — leaf citations and the
+      evaluation cache — are guarded by an internal mutex, the
+      rewriting plans by a lock of their own.  This is correct under systhreads and under
       domains alike, but the lock serializes the cache-touching hot
       path, so it adds safety, not parallelism.  A cite takes it a
-      fixed number of times — plan lookup, evaluation, and {e one}
-      pass resolving all of the answer's distinct leaves — however
+      fixed number of times — evaluation, and {e one} pass
+      resolving all of the answer's distinct leaves — however
       many tuples or leaves the answer has, so
       {!Metrics.Key.leaf_cache_hits} and [leaf_cache_misses] count
       distinct leaves per cite, not leaf occurrences.  Each
@@ -41,12 +63,13 @@
       recording itself never takes a shared lock: {!Metrics} keeps
       per-domain sinks, so counters are not a second contention point.
     - {e shards} — {!replicate} returns a replica sharing the immutable
-      data (base database, materialized views, view set, policy) and
-      the metrics registry, but owning {e private} caches and a private
-      lock.  Give each domain its own replica ({!Sharded_engine} does)
-      and the hot path never contends: parallel speedup comes from
-      sharding, the per-engine mutex remains only for intra-shard
-      concurrency (e.g. the systhread server path).
+      data (base database, materialized views, view set, policy), the
+      metrics registry and the rewriting plans, but owning {e private}
+      data caches and a private lock.  Give each domain its own replica
+      ({!Sharded_engine} does) and the hot path contends only for the
+      plan lookup, one short critical section per cite: parallel
+      speedup comes from sharding, the per-engine mutex remains only
+      for intra-shard concurrency (e.g. the systhread server path).
 
     {!refresh} and {!with_databases} return copies sharing caches {e and
     the mutex}, so the copies are safe too; swapping which engine a
@@ -115,8 +138,9 @@ val of_program :
 val replicate : t -> t
 (** A shard replica: shares the immutable data (base database,
     materialized views — nothing is rematerialized), the policy, the
-    metrics registry and the domain pool, but owns fresh private
-    plan/leaf/eval caches and a fresh lock.  See the thread-safety note
+    metrics registry, the domain pool and the rewriting-plan cache
+    (plans depend on the view set alone), but owns fresh private
+    leaf/eval caches and a fresh lock.  See the thread-safety note
     above; {!Sharded_engine} builds on this. *)
 
 val database : t -> Dc_relational.Database.t
@@ -152,13 +176,14 @@ val view_database : t -> Dc_relational.Database.t
 val eval_cache : t -> Dc_cq.Eval.cache
 (** The engine's shared evaluation cache: hash indexes keyed by
     (predicate, bound positions) {e and} compiled query plans keyed by
-    the query structurally (see {!Dc_cq.Plan}, {!Dc_cq.Query.Tbl}).
+    query shape — the query with its constants masked, so one plan
+    serves every constant (see {!Dc_cq.Eval.cache}, {!Dc_cq.Plan}).
     Both kinds of entry self-invalidate against the current relation
     values by physical identity, so callers maintaining the database
     incrementally ({!Incremental}) can keep reusing it across deltas.
     Distinct from the engine's rewriting-plan cache, which maps
-    citation queries to verified rewritings and is keyed by
-    canonicalized query form. *)
+    citation queries to verified rewritings and is keyed by the
+    generalized canonical form (see above). *)
 
 val metrics : t -> Metrics.t
 (** This engine's metrics handle: plan/leaf/eval cache hit counters,
@@ -168,13 +193,16 @@ val metrics : t -> Metrics.t
 
 val merged_database : t -> Dc_relational.Database.t
 (** Base relations and materialized views in one database — what
-    rewritings (including partial ones) are evaluated against. *)
+    rewritings (including partial ones) are evaluated against.  Merged
+    once when the engine (or a {!refresh} / {!with_databases} copy) is
+    built, never per cite. *)
 
 val refresh : t -> Dc_relational.Database.t -> t
 (** The same engine over an updated database (views rematerialized).
     The rewriting-plan cache is kept: plans depend only on the view
-    set, which [refresh] never changes.  Only {!create} — where the
-    view set is chosen — starts with a cold plan cache. *)
+    set, which [refresh] never changes.  Only {!create} and
+    {!of_program} — where the view set is chosen — start with a cold
+    plan cache. *)
 
 val with_databases :
   t -> base:Dc_relational.Database.t -> view_db:Dc_relational.Database.t -> t
@@ -192,7 +220,9 @@ type tuple_citation = {
 
 type result = {
   query : Dc_cq.Query.t;
-  rewritings : Dc_cq.Query.t list;  (** all minimal equivalent rewritings *)
+  rewritings : Dc_cq.Query.t list;
+      (** all minimal equivalent rewritings, named [<query>_rw<i>] and
+          over the query's own variables and constants *)
   selected : Dc_cq.Query.t list;  (** the ones actually evaluated *)
   tuples : tuple_citation list;
       (** the query answer; when the query has no rewriting over the
@@ -205,6 +235,9 @@ type result = {
           query that has no equivalent rewriting: the tuples may then
           under-approximate the true answer *)
   stats : Dc_rewriting.Rewrite.stats;
+      (** of the search run for the query's shape: its [candidates] may
+          count view atoms that unify with a lifted constant's variable
+          but fail verification *)
 }
 
 val pp_result : Format.formatter -> result -> unit

@@ -1,7 +1,7 @@
 (* N engine replicas over one immutable database/view set: shard 0 is
    the engine passed in (or freshly created), the rest are
-   [Engine.replicate]s with private caches and locks, so domains
-   working different shards never contend.  Dispatch is round-robin
+   [Engine.replicate]s with private data caches and locks, so domains
+   working different shards contend only for the shared plan cache.  Dispatch is round-robin
    over an atomic counter. *)
 
 type t = {

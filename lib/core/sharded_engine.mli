@@ -3,17 +3,17 @@
 
     Shard 0 is the engine handed to {!of_engine} (or created by
     {!create}); shards 1..N-1 are {!Engine.replicate}s — same data,
-    same metrics registry, {e private} plan/leaf/eval caches and a
-    private lock each.  A domain working its own shard therefore never
-    contends with the others: this is the parallel half of the
-    shard-vs-mutex model documented in {!Engine}.
+    same metrics registry, same rewriting plans, {e private} leaf/eval
+    caches and a private lock each.  A domain working its own shard
+    contends with the others only for the short plan-cache lookup: this
+    is the parallel half of the shard-vs-mutex model documented in
+    {!Engine}.
 
-    The trade-off is cache warmth: each shard pays its own plan-cache
-    misses, so a workload of [Q] distinct query shapes enumerates
-    rewritings up to [N × Q] times in the worst case (round-robin) and
-    exactly [Q] times when the workload is partitioned ({!cite_batch}
-    partitions).  Because replicas beyond the physical core count only
-    add cold caches without adding parallelism, the shard count is
+    The trade-off is cache warmth: each shard warms its own leaf and
+    eval caches (the rewriting plans are shared, so a workload of [Q]
+    distinct query shapes enumerates rewritings [Q] times).  Because
+    replicas beyond the physical core count only add cold caches
+    without adding parallelism, the shard count is
     clamped to {!Dc_parallel.Domain_pool.available_cores} by default —
     on a 1-core host a "4-shard" engine degrades to a single shard. *)
 

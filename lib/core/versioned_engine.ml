@@ -12,8 +12,8 @@ type t = {
      engines: [Engine.refresh template db] inherits every creation
      parameter (policy, selection, partial, fallback, pool) and the
      shared metrics registry; the subsequent [replicate] gives the new
-     engine private caches and a private lock so versions never contend
-     with each other. *)
+     engine private data caches and a private lock so versions contend
+     only for the rewriting plans, which all versions share. *)
   template : Engine.t;
   metrics : Metrics.t;
   capacity : int;

@@ -35,13 +35,46 @@ end
 
 let is_truth atom = Atom.pred atom = "True" && Atom.args atom = []
 
+(* A query's shape: its structure with every constant masked, its name
+   and lambda-parameters ignored.  Queries of one shape differ only in
+   [Plan.params], which a plan reads at [Plan.execute] time, so they
+   share one compiled plan; a constant is never hashed or compared, so
+   a fresh one cannot miss. *)
+module Shape_tbl = Hashtbl.Make (struct
+  type t = Query.t
+
+  let term_equal a b =
+    match (a, b) with
+    | Term.Var x, Term.Var y -> String.equal x y
+    | Term.Const _, Term.Const _ -> true
+    | _ -> false
+
+  let atom_equal (a : Atom.t) (b : Atom.t) =
+    String.equal a.pred b.pred && List.equal term_equal a.args b.args
+
+  let equal a b =
+    List.equal term_equal (Query.head a) (Query.head b)
+    && List.equal atom_equal (Query.body a) (Query.body b)
+
+  let hash q =
+    let mix h x = (h * 31) + x in
+    let term h = function
+      | Term.Var v -> mix h (Hashtbl.hash v)
+      | Term.Const _ -> mix h 1
+    in
+    List.fold_left
+      (fun h (a : Atom.t) ->
+        List.fold_left term (mix h (Hashtbl.hash a.pred)) a.args)
+      (List.fold_left term 0 (Query.head q))
+      (Query.body q)
+end)
+
 (* The reusable evaluation cache couples three things keyed off the same
    database evolution story:
    - [indexes]: hash indexes keyed by (predicate, bound positions), each
      remembering the relation value it was built from;
-   - [plans]: compiled plans keyed by the query itself (structurally,
-     constants by value — printed forms conflate [1] and [1.0]), each
-     remembering the relation values it captured ({!Plan.valid});
+   - [plans]: compiled plans keyed by query shape, each remembering the
+     relation values it captured ({!Plan.valid});
    - [stats]: cardinality/distinct-count statistics feeding the
      compile-time join order, self-validating the same way.
    All three validate entries by physical identity of the current
@@ -49,14 +82,14 @@ let is_truth atom = Atom.pred atom = "True" && Atom.args atom = []
    persistent databases; stale entries rebuild transparently. *)
 type cache = {
   indexes : (string * int list, R.Relation.t * R.Index.t) Hashtbl.t;
-  plans : Plan.t Query.Tbl.t;
+  plans : Plan.t Shape_tbl.t;
   stats : R.Stats.t;
 }
 
 let make_cache () =
   {
     indexes = Hashtbl.create 32;
-    plans = Query.Tbl.create 32;
+    plans = Shape_tbl.create 32;
     stats = R.Stats.create ();
   }
 
@@ -78,14 +111,13 @@ let index_for cache db pred positions =
       Hashtbl.replace cache.indexes (pred, positions) (rel, idx);
       idx
 
-(* Plan-cache capacity bound.  The incremental maintainer pins fresh
-   constants into delta queries, so distinct keys are unbounded in
-   general; resetting on overflow keeps the steady-state workload (a
-   fixed set of citation views) fully cached while bounding memory. *)
+(* Plan-cache capacity bound.  Shapes, not constants, key the table, so
+   a steady workload stays far below it; resetting on overflow bounds
+   memory against an unbounded stream of distinct shapes. *)
 let max_plans = 1024
 
 let plan_for cache db q =
-  match Query.Tbl.find_opt cache.plans q with
+  match Shape_tbl.find_opt cache.plans q with
   | Some p when Plan.valid p db ->
       Metrics.record Metrics.Key.eval_plan_hits;
       p
@@ -98,9 +130,9 @@ let plan_for cache db q =
               ~index:(fun pred positions -> index_for cache db pred positions)
               db q)
       in
-      if stale = None && Query.Tbl.length cache.plans >= max_plans then
-        Query.Tbl.reset cache.plans;
-      Query.Tbl.replace cache.plans q p;
+      if stale = None && Shape_tbl.length cache.plans >= max_plans then
+        Shape_tbl.reset cache.plans;
+      Shape_tbl.replace cache.plans q p;
       p
 
 (* Every emission of one plan binds the same variable set, so the
@@ -122,7 +154,8 @@ let bindings ?cache db q =
   let plan = plan_for cache db q in
   let template = slot_template (Plan.slots plan) in
   let acc = ref [] in
-  Plan.execute plan (fun regs -> acc := binding_of_regs template regs :: !acc);
+  Plan.execute plan ~params:(Plan.params q) (fun regs ->
+      acc := binding_of_regs template regs :: !acc);
   !acc
 
 let tuple_of_binding q binding =
@@ -138,7 +171,7 @@ let run ?cache db q =
   let plan = plan_for cache db q in
   let template = slot_template (Plan.slots plan) in
   let acc = ref [] in
-  Plan.execute plan (fun regs ->
+  Plan.execute plan ~params:(Plan.params q) (fun regs ->
       acc := (Plan.head_tuple plan regs, binding_of_regs template regs) :: !acc);
   (* group by head tuple: one sort, then collapse adjacent runs —
      cheaper than hashing every emission into a table and sorting the
@@ -188,7 +221,7 @@ let result ?cache db q =
   let cache = resolve_cache cache in
   let plan = plan_for cache db q in
   let rel = ref (R.Relation.empty (result_schema q)) in
-  Plan.execute plan (fun regs ->
+  Plan.execute plan ~params:(Plan.params q) (fun regs ->
       rel := R.Relation.insert !rel (Plan.head_tuple plan regs));
   !rel
 
@@ -197,7 +230,7 @@ exception Found
 let holds ?cache db q =
   let cache = resolve_cache cache in
   let plan = plan_for cache db q in
-  match Plan.execute plan (fun _ -> raise_notrace Found) with
+  match Plan.execute plan ~params:(Plan.params q) (fun _ -> raise_notrace Found) with
   | () -> false
   | exception Found -> true
 

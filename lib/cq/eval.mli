@@ -6,9 +6,10 @@
     tuple t", so the citation engine needs β_t, not just t.
 
     Evaluation dispatches through {!Plan}: the query is compiled once
-    (slot-numbered variables, cost-based join order, statically resolved
-    index probes) and the compiled plan is cached alongside the index
-    cache.  Repeated evaluations of the same query over the same extents
+    per shape (slot-numbered variables, parameter registers for its
+    constants, cost-based join order, statically resolved index probes)
+    and the compiled plan is cached alongside the index cache.
+    Repeated evaluations of the same query shape over the same extents
     — the citation hot path — run the slot kernel directly, touching no
     string map and allocating no per-probe key.  The pre-compilation
     interpreter survives as {!Reference} for differential testing and
@@ -41,17 +42,24 @@ end
 
 type cache
 (** A reusable evaluation cache holding hash indexes, compiled plans
-    and the statistics that feed the compile-time join order.  Plans
-    are keyed by the query itself ({!Query.Tbl}: structural, constants
-    compared by value); indexes by (predicate, bound positions).  Every
-    entry is validated against the current relation values by physical
-    identity, so one cache can safely serve many
-    evaluations over evolving persistent databases: stale entries are
-    rebuilt transparently.  The plan table is capacity-bounded (reset
-    on overflow) because delta queries pin fresh constants and would
-    otherwise grow it without bound.  Sharing a cache turns repeated
-    evaluations over the same extents — e.g. resolving thousands of
-    parameterized citation leaves — from compile-and-index-build-bound
+    and the statistics that feed the compile-time join order.
+
+    {b Plan-cache key.}  Plans are keyed by query {e shape}: the head
+    and body with every constant masked (name and lambda-parameters
+    ignored).  A plan reads each constant from a per-execution
+    parameter vector ({!Plan.params}), so [Q(N) :- Family(1,N,T)] and
+    [Q(N) :- Family(2,N,T)] share one compiled plan, and neither
+    constants nor their printed forms ever enter the key — [R(X,1)] and
+    [R(X,1.0)] share a plan but each is run with its own value.
+    Indexes are keyed by (predicate, bound positions).
+
+    Every entry is validated against the current relation values by
+    physical identity, so one cache can safely serve many evaluations
+    over evolving persistent databases: stale entries are rebuilt
+    transparently.  The plan table is capacity-bounded (reset on
+    overflow).  Sharing a cache turns repeated evaluations over the
+    same extents — e.g. resolving thousands of parameterized citation
+    leaves, one constant each — from compile-and-index-build-bound
     into pure slot-kernel runs. *)
 
 val make_cache : unit -> cache

@@ -1,8 +1,6 @@
 module R = Dc_relational
 module Sset = Set.Make (String)
 
-type source = Const of R.Value.t | Slot of int
-
 (* One register op per atom position, resolved at compile time:
    - [Skip]: the position is part of the index key — the probe already
      guaranteed equality, nothing to do at run time;
@@ -16,22 +14,38 @@ type step = {
   pred : string;
   rel : R.Relation.t;
   (* [None] = full scan over [Relation.scan rel] (the atom had no bound
-     position); [Some idx] = probe [idx] with [key_buf]. *)
+     position); [Some idx] = probe [idx] with [key_buf], filled from the
+     registers [key_slots]. *)
   index : R.Index.t option;
-  key_sources : source array;
+  key_slots : int array;
   key_buf : R.Value.t array;
   ops : op array;
 }
 
+(* The register file holds the variable slots, then one parameter
+   register per constant occurrence ([params] order), loaded by
+   [execute]: nothing in a plan depends on a constant's value. *)
 type t = {
-  query : Query.t;
   slots : string array;
+  nparams : int;
   steps : step array;
-  head : source array;
+  head : int array;
   deps : (string * R.Relation.t) list;
 }
 
-let query t = t.query
+(* Constant occurrences in body order, then head order: the order
+   [compile] numbers parameter registers in. *)
+let params q =
+  let consts acc terms =
+    List.fold_left
+      (fun acc -> function Term.Const c -> c :: acc | Term.Var _ -> acc)
+      acc terms
+  in
+  let acc =
+    List.fold_left (fun acc a -> consts acc (Atom.args a)) [] (Query.body q)
+  in
+  Array.of_list (List.rev (consts acc (Query.head q)))
+
 let slots t = t.slots
 let atom_order t = List.map (fun s -> s.pred) (Array.to_list t.steps)
 
@@ -69,9 +83,11 @@ let atom_cost ~stats db bound atom =
   let sel, any_bound = go 0 1.0 false (Atom.args atom) in
   if any_bound then card *. sel else card
 
-(* Greedy cost-based join order: repeatedly pick the cheapest atom under
-   the variables bound so far.  Ties keep body order (fold keeps the
-   first minimum), so plans are deterministic. *)
+(* Greedy cost-based join order over [(atom, registers)] pairs: repeatedly
+   pick the cheapest atom under the variables bound so far.  Ties keep
+   body order (fold keeps the first minimum), so plans are deterministic.
+   Pairs are removed by identity, so an atom repeated in the body keeps
+   each occurrence (and its own parameter registers). *)
 let order_atoms ~stats db body =
   let rec go bound remaining acc =
     match remaining with
@@ -79,17 +95,17 @@ let order_atoms ~stats db body =
     | _ ->
         let best, _ =
           List.fold_left
-            (fun (best, best_cost) atom ->
+            (fun (best, best_cost) ((atom, _) as p) ->
               let c = atom_cost ~stats db bound atom in
               match best with
-              | None -> (Some atom, c)
-              | Some _ -> if c < best_cost then (Some atom, c) else (best, best_cost))
+              | None -> (Some p, c)
+              | Some _ -> if c < best_cost then (Some p, c) else (best, best_cost))
             (None, infinity) remaining
         in
         let best = Option.get best in
-        let remaining = List.filter (fun a -> not (a == best)) remaining in
+        let remaining = List.filter (fun p -> not (p == best)) remaining in
         let bound =
-          List.fold_left (fun s v -> Sset.add v s) bound (Atom.var_list best)
+          List.fold_left (fun s v -> Sset.add v s) bound (Atom.var_list (fst best))
         in
         go bound remaining (best :: acc)
   in
@@ -117,12 +133,28 @@ let compile ~stats ~relation ~index db q =
         (function Term.Var v -> ignore (slot_of v) | Term.Const _ -> ())
         (Atom.args atom))
     body;
-  let ordered = order_atoms ~stats db body in
+  let nslots = Hashtbl.length slot_tbl in
+  (* each constant occurrence reads the next parameter register; atoms
+     are numbered in body order, before the join order is chosen *)
+  let nparams = ref 0 in
+  let register = function
+    | Term.Var v -> slot_of v
+    | Term.Const _ ->
+        let r = nslots + !nparams in
+        incr nparams;
+        r
+  in
+  let body_regs =
+    List.map
+      (fun atom -> (atom, Array.of_list (List.map register (Atom.args atom))))
+      body
+  in
+  let ordered = order_atoms ~stats db body_regs in
   let bound = ref Sset.empty in
   let deps = ref [] in
   let steps =
     List.map
-      (fun atom ->
+      (fun (atom, regs) ->
         let pred = Atom.pred atom in
         let rel = relation pred in
         if not (List.mem_assoc pred !deps) then deps := (pred, rel) :: !deps;
@@ -136,20 +168,16 @@ let compile ~stats ~relation ~index db q =
               | Term.Var v -> Sset.mem v !bound)
             args
         in
-        let key_positions = ref [] and key_sources = ref [] in
+        let key_positions = ref [] and key_slots = ref [] in
         Array.iteri
-          (fun i term ->
+          (fun i _ ->
             if keyed.(i) then begin
               key_positions := i :: !key_positions;
-              key_sources :=
-                (match term with
-                | Term.Const c -> Const c
-                | Term.Var v -> Slot (slot_of v))
-                :: !key_sources
+              key_slots := regs.(i) :: !key_slots
             end)
           args;
         let key_positions = List.rev !key_positions in
-        let key_sources = Array.of_list (List.rev !key_sources) in
+        let key_slots = Array.of_list (List.rev !key_slots) in
         let seen_in_atom = Hashtbl.create 4 in
         let ops =
           Array.mapi
@@ -175,28 +203,22 @@ let compile ~stats ~relation ~index db q =
           index =
             (if key_positions = [] then None
              else Some (index pred key_positions));
-          key_sources;
-          key_buf = Array.make (Array.length key_sources) R.Value.Null;
+          key_slots;
+          key_buf = Array.make (Array.length key_slots) R.Value.Null;
           ops;
         })
       ordered
   in
-  let head =
-    Array.of_list
-      (List.map
-         (function
-           | Term.Const c -> Const c
-           | Term.Var v ->
-               (* safety: every head variable occurs in the body, so it
-                  already has a slot *)
-               Slot (slot_of v))
-         (Query.head q))
-  in
-  let slots_arr =
-    let a = Array.of_list (List.rev !rev_slots) in
-    a
-  in
-  { query = q; slots = slots_arr; steps = Array.of_list steps; head; deps = !deps }
+  (* safety: every head variable occurs in the body, so it already has
+     a slot *)
+  let head = Array.of_list (List.map register (Query.head q)) in
+  {
+    slots = Array.of_list (List.rev !rev_slots);
+    nparams = !nparams;
+    steps = Array.of_list steps;
+    head;
+    deps = !deps;
+  }
 
 let valid t db =
   List.for_all
@@ -206,12 +228,14 @@ let valid t db =
       | None -> false)
     t.deps
 
-let head_tuple t regs =
-  R.Tuple.of_array
-    (Array.map (function Const v -> v | Slot s -> regs.(s)) t.head)
+let head_tuple t regs = R.Tuple.of_array (Array.map (fun s -> regs.(s)) t.head)
 
-let execute t emit =
-  let regs = Array.make (max 1 (Array.length t.slots)) R.Value.Null in
+let execute t ~params emit =
+  if Array.length params <> t.nparams then
+    invalid_arg "Plan.execute: parameter count differs from the plan's";
+  let nslots = Array.length t.slots in
+  let regs = Array.make (max 1 (nslots + t.nparams)) R.Value.Null in
+  Array.blit params 0 regs nslots t.nparams;
   let nsteps = Array.length t.steps in
   (* [match_tuple] applies the register ops left to right; a failed
      [Check] abandons the candidate.  Partial [Bind]s of an abandoned
@@ -237,9 +261,9 @@ let execute t emit =
       let n = Array.length ops in
       match st.index with
       | Some idx ->
-          let kb = st.key_buf and srcs = st.key_sources in
+          let kb = st.key_buf and srcs = st.key_slots in
           for j = 0 to Array.length srcs - 1 do
-            kb.(j) <- (match srcs.(j) with Const v -> v | Slot s -> regs.(s))
+            kb.(j) <- regs.(srcs.(j))
           done;
           List.iter
             (fun tuple -> if match_tuple ops tuple regs 0 n then go (i + 1))
@@ -255,11 +279,12 @@ let execute t emit =
 
 let pp ppf t =
   let pp_step ppf st =
+    let nslots = Array.length t.slots in
     let keyed =
-      Array.to_list st.key_sources
-      |> List.map (function
-           | Const v -> R.Value.to_string v
-           | Slot s -> t.slots.(s))
+      Array.to_list st.key_slots
+      |> List.map (fun s ->
+             if s < nslots then t.slots.(s)
+             else Printf.sprintf "$%d" (s - nslots))
     in
     if keyed = [] then Format.fprintf ppf "%s[scan]" st.pred
     else Format.fprintf ppf "%s[%s]" st.pred (String.concat "," keyed)

@@ -18,7 +18,15 @@
       with the allocation-free {!Dc_relational.Index.lookup_key}; free
       positions compile to [Bind]/[Check] register ops;
     - the per-atom hash indexes are resolved (through the shared index
-      cache) at compile time and stored in the plan.
+      cache) at compile time and stored in the plan;
+    - every constant occurrence compiles to a {e parameter register}
+      that {!execute} loads from its [~params] vector ({!params} of the
+      query at hand).  Nothing in a plan depends on a constant's value —
+      the join order reads only which positions are bound, never the
+      bound value — so one plan serves every query of its {e shape}
+      (the query with its constants masked): [Family(1,N,T)] and
+      [Family(2,N,T)] share a plan, and {!Eval}'s plan cache is keyed
+      by shape.
 
     A plan captures the relation values it was compiled against:
     {!valid} checks them by physical identity, so a cached plan is
@@ -30,10 +38,6 @@
     exactly as they already must for the shared {!Eval.cache}. *)
 
 type t
-
-type source =
-  | Const of Dc_relational.Value.t
-  | Slot of int  (** read the register file at this slot *)
 
 val compile :
   stats:Dc_relational.Stats.t ->
@@ -48,31 +52,43 @@ val compile :
     eagerly, so compilation fails up front on a missing relation);
     [index] supplies the hash index for a (predicate, bound-positions)
     pair, normally {!Eval}'s shared index cache.  [db] and [stats] feed
-    the cost-based join order.  The nullary [True] atom is dropped. *)
+    the cost-based join order.  The nullary [True] atom is dropped.
+    The plan may be executed for any query of [q]'s shape. *)
+
+val params : Query.t -> Dc_relational.Value.t array
+(** The query's constants in the order a plan reads its parameter
+    registers: every occurrence, body atoms first (in body order), then
+    the head.  Two queries share a shape exactly when they differ only
+    in this vector. *)
 
 val valid : t -> Dc_relational.Database.t -> bool
 (** Whether every relation captured at compile time is still (physically)
     the relation of that name in [db]. *)
 
-val query : t -> Query.t
-
 val slots : t -> string array
-(** The variable name held by each register slot.  Every body variable
-    of the (True-stripped) query has exactly one slot. *)
+(** The variable name held by each variable slot.  Every body variable
+    of the (True-stripped) query has exactly one slot; the parameter
+    registers follow them in the register file. *)
 
 val atom_order : t -> string list
 (** Predicate names of the body atoms in chosen join order (diagnostic:
     benches and tests assert the cost-based ordering). *)
 
 val head_tuple : t -> Dc_relational.Value.t array -> Dc_relational.Tuple.t
-(** The head tuple under the given register file (constants inlined,
-    variables read from their slots). *)
+(** The head tuple under the given register file (variables and
+    constants read from their registers). *)
 
-val execute : t -> (Dc_relational.Value.t array -> unit) -> unit
-(** Run the join.  The callback is invoked once per satisfying
-    valuation with the register file; it must read what it needs
-    immediately and {b not retain the array} — the kernel keeps
-    mutating it in place. *)
+val execute :
+  t ->
+  params:Dc_relational.Value.t array ->
+  (Dc_relational.Value.t array -> unit) ->
+  unit
+(** Run the join with the constants [params] (see {!params}; raises
+    [Invalid_argument] on a length mismatch).  The callback is invoked
+    once per satisfying valuation with the register file; it must read
+    what it needs immediately and {b not retain the array} — the kernel
+    keeps mutating it in place. *)
 
 val pp : Format.formatter -> t -> unit
-(** Human-readable plan: atoms in join order with their key positions. *)
+(** Human-readable plan: atoms in join order with their key columns
+    (variables by name, parameters as [$i]). *)

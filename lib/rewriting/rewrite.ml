@@ -209,20 +209,21 @@ let rewritings_under_deps ?(max_extra_atoms = 1) ?(max_candidates = 100_000)
   let n = List.length (Cq.Query.body query) in
   let max_atoms = n + max_extra_atoms in
   (* Entry pool: every unfiltered (view, body atom, subgoal) unification,
-     deduplicated by the candidate atom's shape. *)
+     deduplicated structurally — printed atoms conflate [V(X,1)] and
+     [V(X,1.0)] — keeping first occurrences in bucket order. *)
   let buckets = Bucket.buckets ~level:Bucket.Naive views query in
   let entries =
     Array.to_list buckets |> List.concat
     |> List.map (fun (e : Candidate.t) -> e.atom)
   in
   let entries =
-    let seen = Hashtbl.create 16 in
+    let module Aset = Set.Make (Cq.Atom) in
+    let seen = ref Aset.empty in
     List.filter
       (fun atom ->
-        let key = Cq.Atom.to_string atom in
-        if Hashtbl.mem seen key then false
+        if Aset.mem atom !seen then false
         else begin
-          Hashtbl.add seen key ();
+          seen := Aset.add atom !seen;
           true
         end)
       entries

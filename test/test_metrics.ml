@@ -298,8 +298,11 @@ let pinned_counters =
     (M.Key.eval_index_builds, 4);
     (M.Key.eval_cache_hits, 3);
     (M.Key.eval_cache_misses, 4);
-    (M.Key.plan_compiles, 13);
-    (M.Key.eval_plan_hits, 1);
+    (* one per query shape: the views V1 and V2 differ only in their
+       names, the citation queries CV2 and CV3 only in theirs; each
+       second member of a pair is a plan hit *)
+    (M.Key.plan_compiles, 11);
+    (M.Key.eval_plan_hits, 3);
     (M.Key.containment_checks, 11);
     (M.Key.rewriting_candidates, 2);
     (M.Key.rewriting_verified, 2);
@@ -316,7 +319,7 @@ let pinned_counters =
 (* timer name -> calls *)
 let pinned_timers =
   [
-    ("plan_compile", 13);
+    ("plan_compile", 11);
     ("datalog_fixpoint", 1);
     ("wal_append", 3);
     ("wal_fsync", 3);

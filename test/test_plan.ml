@@ -110,6 +110,76 @@ let prop_equivalence =
        (fun (db, query) -> equivalent db query))
 
 (* ------------------------------------------------------------------ *)
+(* One plan per shape: queries that differ only in their constants
+   share a compiled plan, run with their own constants. *)
+
+(* [query] with every constant redrawn — now and then as a float, which
+   prints like an int but never equals one. *)
+let gen_constants query : Cq.Query.t Gen.t =
+ fun st ->
+  let term = function
+    | Cq.Term.Const _ ->
+        if Gen.int_bound 5 st = 0 then
+          Cq.Term.Const (R.Value.Float (float_of_int (Gen.int_bound 4 st)))
+        else Cq.Term.Const (gen_const st)
+    | t -> t
+  in
+  Cq.Query.make_exn ~name:"Q"
+    ~head:(List.map term (Cq.Query.head query))
+    ~body:
+      (List.map
+         (fun a -> Cq.Atom.make (Cq.Atom.pred a) (List.map term (Cq.Atom.args a)))
+         (Cq.Query.body query))
+    ()
+
+let arbitrary_variants =
+  let gen st =
+    let db = gen_db st and query = gen_query st in
+    (db, query :: List.init 4 (fun _ -> gen_constants query st))
+  in
+  QCheck.make
+    ~print:(fun (_, queries) ->
+      String.concat "\n" (List.map Cq.Query.to_string queries))
+    gen
+
+(* Every variant through one shared cache: only the first compiles. *)
+let prop_constant_variants =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"compiled = reference across constant variants"
+       ~count:300 arbitrary_variants (fun (db, queries) ->
+         let cache = E.make_cache () in
+         List.for_all
+           (fun query ->
+             same_run (E.Reference.run db query) (E.run ~cache db query)
+             && same_bindings
+                  (E.Reference.bindings db query)
+                  (E.bindings ~cache db query)
+             && R.Relation.equal
+                  (E.Reference.result db query)
+                  (E.result ~cache db query)
+             && Bool.equal (E.Reference.holds db query) (E.holds ~cache db query))
+           queries))
+
+let test_one_compile_per_shape () =
+  let db = rs_db () in
+  let cache = E.make_cache () in
+  let m = Dc_clock.Metrics.create () in
+  Dc_clock.Metrics.with_sink m (fun () ->
+      for c = 0 to 99 do
+        List.iter
+          (fun src ->
+            let query = q src in
+            Alcotest.(check bool) src true
+              (same_run (E.Reference.run db query) (E.run ~cache db query)))
+          [
+            Printf.sprintf "Q(X) :- R(X,%d)" c;
+            Printf.sprintf "Q(X,%d) :- R(X,%d), S(%d,C)" c (c mod 4) (c mod 3);
+          ]
+      done);
+  Alcotest.(check int) "one compilation per shape" 2
+    (Dc_clock.Metrics.count m Dc_clock.Metrics.Key.plan_compiles)
+
+(* ------------------------------------------------------------------ *)
 (* Directed corners (also covered probabilistically above, but pinned
    here so a shrink-resistant failure stays readable). *)
 
@@ -226,6 +296,9 @@ let test_cost_based_order () =
 let suite =
   [
     prop_equivalence;
+    prop_constant_variants;
+    Alcotest.test_case "one compilation per shape" `Quick
+      test_one_compile_per_shape;
     Alcotest.test_case "directed corners" `Quick test_directed_corners;
     Alcotest.test_case "unknown relation resolved eagerly" `Quick
       test_unknown_relation_eager;
