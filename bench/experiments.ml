@@ -1257,7 +1257,7 @@ let e16 () =
     in
     let fs = fsyncs () - fsyncs0 in
     Dc_storage.Wal.close w;
-    let scan = ok "scan" (Dc_storage.Wal.scan_file ~schemas:[] path) in
+    let scan = ok "scan" (Dc_storage.Wal.scan_file path) in
     let total = threads * gc_appends in
     if List.length scan.Dc_storage.Wal.records <> total then
       failwith "E16: group-commit appends lost";

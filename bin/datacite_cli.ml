@@ -275,20 +275,54 @@ let coverage_cmd =
     (Cmd.info "coverage" ~doc:"Coverage of a workload by the citation views.")
     term
 
-(* store: durable fixity *)
+(* store: durable fixity, on the same WAL + snapshot store that
+   datacite_server --data-dir serves *)
+
+module Store = Dc_storage.Store
+module VS = R.Version_store
+
+let fail msg =
+  prerr_endline msg;
+  exit 1
 
 let store_dir_arg =
-  let doc = "Store directory." in
+  let doc = "Store directory (write-ahead log + snapshots)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"STORE" ~doc)
+
+(* The retired CSV store layout ([base/] + [deltas/NNNNNN.delta]) is
+   refused by name: read as "no store", it would invite an [init] that
+   hides its versions. *)
+let refuse_csv_layout dir =
+  if Sys.file_exists (Filename.concat dir "base") then
+    fail (dir ^ ": holds a store in the retired CSV layout (base/ + deltas/)")
+
+(* Recover an existing store and hand [f] the handle and every
+   committed version.  The directory must already hold a store:
+   [Store.open_] would otherwise initialize it. *)
+let with_store store_dir f =
+  refuse_csv_layout store_dir;
+  if not (Store.exists ~dir:store_dir) then
+    fail (Printf.sprintf "%s: no store here (run `store init` first)" store_dir);
+  match
+    Store.open_ ~digest:C.Fixity.digest_db ~dir:store_dir ~db:R.Database.empty
+      ()
+  with
+  | Error e -> fail e
+  | Ok (_, None) -> fail (Printf.sprintf "%s: store vanished" store_dir)
+  | Ok (st, Some r) ->
+      Fun.protect ~finally:(fun () -> Store.close st) (fun () -> f st r.Store.store)
 
 let store_init_cmd =
   let run data store_dir =
     let db = load_db data in
-    match C.Store_io.init ~dir:store_dir db with
-    | Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok () -> Format.printf "initialized %s at version 0@." store_dir
+    refuse_csv_layout store_dir;
+    if Store.exists ~dir:store_dir then
+      fail (Printf.sprintf "%s already holds a store" store_dir);
+    match Store.open_ ~digest:C.Fixity.digest_db ~dir:store_dir ~db () with
+    | Error e -> fail e
+    | Ok (st, _) ->
+        Store.close st;
+        Format.printf "initialized %s at version 0@." store_dir
   in
   let term = Term.(const run $ data_arg $ store_dir_arg) in
   Cmd.v
@@ -297,28 +331,24 @@ let store_init_cmd =
 
 let store_commit_cmd =
   let run store_dir delta_file =
-    match C.Store_io.load ~dir:store_dir with
-    | Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok store -> (
-        let schemas =
-          List.map R.Relation.schema
-            (R.Database.relations (R.Version_store.head_db store))
+    with_store store_dir @@ fun st store ->
+    let schemas =
+      List.map R.Relation.schema (R.Database.relations (VS.head_db store))
+    in
+    match R.Delta_io.load ~schemas delta_file with
+    | Error e -> fail e
+    | Ok delta -> (
+        (* the server's commit path: apply, log to the WAL, then publish *)
+        let ve =
+          C.Versioned_engine.of_engine ~store (C.Engine.create (VS.head_db store) [])
         in
-        match R.Delta_io.load ~schemas delta_file with
-        | Error e ->
-            prerr_endline e;
-            exit 1
-        | Ok delta -> (
-            match C.Store_io.commit ~dir:store_dir delta with
-            | Error e ->
-                prerr_endline e;
-                exit 1
-            | Ok v -> Format.printf "committed version %d@." v))
+        C.Versioned_engine.set_durability ve st;
+        match C.Versioned_engine.commit_delta ve delta with
+        | Error e -> fail e
+        | Ok v -> Format.printf "committed version %d@." v)
   in
   let delta_arg =
-    let doc = "Delta file (lines: +|-,Relation,field,...)." in
+    let doc = "Delta file (CSV lines: +|-,Relation,field,...)." in
     Arg.(required & pos 1 (some file) None & info [] ~docv:"DELTA" ~doc)
   in
   let term = Term.(const run $ store_dir_arg $ delta_arg) in
@@ -326,19 +356,17 @@ let store_commit_cmd =
 
 let store_log_cmd =
   let run store_dir =
-    match C.Store_io.load ~dir:store_dir with
-    | Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok store ->
-        List.iter
-          (fun v ->
-            let db = R.Version_store.checkout_exn store v in
-            Format.printf "v%d: %d tuples@." v (R.Database.total_tuples db))
-          (R.Version_store.versions store)
+    with_store store_dir @@ fun _ store ->
+    List.iter
+      (fun v ->
+        let db = VS.checkout_exn store v in
+        Format.printf "v%d: %d tuples, digest %s@." v
+          (R.Database.total_tuples db) (C.Fixity.digest_db db))
+      (VS.versions store)
   in
   let term = Term.(const run $ store_dir_arg) in
-  Cmd.v (Cmd.info "log" ~doc:"List the store's versions.") term
+  let doc = "List the store's versions with their fixity digests." in
+  Cmd.v (Cmd.info "log" ~doc) term
 
 let store_query_arg =
   let doc = "Conjunctive query." in
@@ -346,25 +374,16 @@ let store_query_arg =
 
 let store_cite_cmd =
   let run store_dir views query format =
-    match C.Store_io.load ~dir:store_dir with
-    | Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok store -> (
-        let cvs = load_views views in
-        match Cq.Parser.parse_query query with
-        | Error e ->
-            prerr_endline e;
-            exit 1
-        | Ok q ->
-            let vc = C.Fixity.cite ~store ~views:cvs q in
-            Format.printf "cited at version %d@." vc.version;
-            List.iter
-              (fun t -> Format.printf "%a@." R.Tuple.pp t)
-              vc.tuples;
-            Format.printf "formal: %a@." C.Cite_expr.pp vc.expr;
-            print_endline
-              (C.Fmt_citation.render (parse_format format) vc.citations))
+    with_store store_dir @@ fun _ store ->
+    let cvs = load_views views in
+    match Cq.Parser.parse_query query with
+    | Error e -> fail e
+    | Ok q ->
+        let vc = C.Fixity.cite ~store ~views:cvs q in
+        Format.printf "cited at version %d@." vc.version;
+        List.iter (fun t -> Format.printf "%a@." R.Tuple.pp t) vc.tuples;
+        Format.printf "formal: %a@." C.Cite_expr.pp vc.expr;
+        print_endline (C.Fmt_citation.render (parse_format format) vc.citations)
   in
   let term =
     Term.(const run $ store_dir_arg $ views_arg $ store_query_arg $ format_arg)
@@ -375,29 +394,20 @@ let store_cite_cmd =
 
 let store_resolve_cmd =
   let run store_dir views version query =
-    match C.Store_io.load ~dir:store_dir with
-    | Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok store -> (
-        let cvs = load_views views in
-        match Cq.Parser.parse_query query with
-        | Error e ->
-            prerr_endline e;
-            exit 1
-        | Ok q -> (
-            match R.Version_store.checkout store version with
-            | None ->
-                prerr_endline (Printf.sprintf "no version %d" version);
-                exit 1
-            | Some db ->
-                let engine = C.Engine.create db cvs in
-                let result = C.Engine.cite engine q in
-                Format.printf "answer as of version %d:@." version;
-                List.iter
-                  (fun (tc : C.Engine.tuple_citation) ->
-                    Format.printf "%a@." R.Tuple.pp tc.tuple)
-                  result.tuples))
+    with_store store_dir @@ fun _ store ->
+    let cvs = load_views views in
+    match Cq.Parser.parse_query query with
+    | Error e -> fail e
+    | Ok q -> (
+        match VS.checkout store version with
+        | None -> fail (Printf.sprintf "no version %d" version)
+        | Some db ->
+            let result = C.Engine.cite (C.Engine.create db cvs) q in
+            Format.printf "answer as of version %d:@." version;
+            List.iter
+              (fun (tc : C.Engine.tuple_citation) ->
+                Format.printf "%a@." R.Tuple.pp tc.tuple)
+              result.tuples)
   in
   let version_arg =
     let doc = "Version to resolve at (--at N)." in

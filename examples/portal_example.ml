@@ -68,24 +68,38 @@ let () =
   Format.printf "@.--- bibliography ---@.%s@." (C.Bibliography.render bib);
 
   section "5. Durable fixity";
+  (* The same WAL + snapshot store that datacite_server --data-dir
+     serves: the database becomes version 0 on disk. *)
   let dir = Filename.temp_file "datacite_portal" "" in
   Sys.remove dir;
-  (match C.Store_io.init ~dir db with
-  | Error e -> Format.printf "store error: %s@." e
-  | Ok () ->
-      let store = Result.get_ok (C.Store_io.load ~dir) in
-      let vc = C.Fixity.cite ~store ~views Dc_gtopdb.Paper_views.query_q in
-      Format.printf "cited %d tuples at version %d (stored in %s)@."
-        (List.length vc.tuples) vc.version dir;
-      (* the database moves on... *)
-      let delta =
-        R.Delta.insert R.Delta.empty "Family"
-          (R.Tuple.make
-             [ R.Value.int 9999; R.Value.str "Brand-new family"; R.Value.str "new" ])
-      in
-      ignore (Result.get_ok (C.Store_io.commit ~dir delta));
-      let store = Result.get_ok (C.Store_io.load ~dir) in
-      Format.printf "after commit, head is version %d@."
-        (R.Version_store.head store);
-      Format.printf "old citation still verifies: %b@."
-        (C.Fixity.verify ~store ~views vc))
+  let remove_store () =
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:remove_store @@ fun () ->
+  let open_store () =
+    Result.get_ok (Dc_storage.Store.open_ ~digest:C.Fixity.digest_db ~dir ~db ())
+  in
+  let st, _ = open_store () in
+  let versioned = C.Versioned_engine.of_engine engine in
+  C.Versioned_engine.set_durability versioned st;
+  let store = C.Versioned_engine.store versioned in
+  let vc = C.Fixity.cite ~store ~views Dc_gtopdb.Paper_views.query_q in
+  Format.printf "cited %d tuples at version %d (stored in %s)@."
+    (List.length vc.tuples) vc.version dir;
+  (* the database moves on; the commit is logged before it is published *)
+  let delta =
+    R.Delta.insert R.Delta.empty "Family"
+      (R.Tuple.make
+         [ R.Value.int 9999; R.Value.str "Brand-new family"; R.Value.str "new" ])
+  in
+  ignore (Result.get_ok (C.Versioned_engine.commit_delta versioned delta));
+  Dc_storage.Store.close st;
+  (* a later process recovers every version from disk *)
+  let st, recovered = open_store () in
+  let store = (Option.get recovered).Dc_storage.Store.store in
+  Format.printf "after commit and reopen, head is version %d@."
+    (R.Version_store.head store);
+  Format.printf "old citation still verifies: %b@."
+    (C.Fixity.verify ~store ~views vc);
+  Dc_storage.Store.close st

@@ -1,22 +1,3 @@
-let render delta =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (rel, changes) ->
-      List.iter
-        (fun change ->
-          let sign, tuple =
-            match change with
-            | Delta.Insert t -> ("+", t)
-            | Delta.Delete t -> ("-", t)
-          in
-          Buffer.add_string buf
-            (Csv_io.render_line
-               (sign :: rel :: List.map Value.to_string (Tuple.to_list tuple)));
-          Buffer.add_char buf '\n')
-        changes)
-    (Delta.changes delta);
-  Buffer.contents buf
-
 let parse ~schemas src =
   let schema_of rel =
     List.find_opt (fun s -> String.equal (Schema.name s) rel) schemas
@@ -75,8 +56,3 @@ let load ~schemas path =
       Result.map_error
         (fun e -> Printf.sprintf "%s: %s" path e)
         (parse ~schemas contents)
-
-let save delta path =
-  let oc = open_out path in
-  output_string oc (render delta);
-  close_out oc

@@ -30,7 +30,10 @@ let split_first line =
 
 (* The same scalar coercion the CLI and REPL apply to NAME=VALUE
    parameters: an integer literal is an Int, everything else a Str. *)
-let parse_scalar = R.Delta_wire.parse_scalar
+let parse_scalar s =
+  match int_of_string_opt s with
+  | Some n -> R.Value.Int n
+  | None -> R.Value.Str s
 
 let parse_binding s =
   match String.index_opt s '=' with
@@ -59,14 +62,104 @@ let strip_cr line =
   let n = String.length line in
   if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
 
-(* Delta payloads use the shared wire codec ({!Dc_relational.Delta_wire})
-   — the same encoding the storage WAL persists — with the loose scalar
-   coercion, so strings containing [,;()] are outside the wire format
-   (deltas carrying them need a richer client). *)
-let parse_delta s =
-  Result.map_error (fun e -> "COMMIT_DELTA: " ^ e) (R.Delta_wire.parse s)
+(* ------------------------------------------------------------------ *)
+(* COMMIT_DELTA payloads                                               *)
 
-let render_delta = R.Delta_wire.render
+(* A bare field is trimmed and coerced by [parse_scalar], so a value is
+   written bare only when that reads it back as itself.  Anything else
+   — empty, padded, carrying a delimiter, a quote or a newline, or a
+   string that would read back as an Int — is quoted, with [""] for a
+   quote inside; a quoted field always parses as [Str]. *)
+let delimiters = ",;()\"\n"
+
+let render_field v =
+  let s = R.Value.to_string v in
+  let quote =
+    s = "" || String.trim s <> s
+    || String.exists (fun c -> String.contains delimiters c) s
+    || (match v with R.Value.Str _ -> int_of_string_opt s <> None | _ -> false)
+  in
+  if quote then
+    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
+  else s
+
+let render_delta d =
+  String.concat ";"
+    (List.concat_map
+       (fun (rel, changes) ->
+         List.map
+           (fun (c : R.Delta.change) ->
+             let sign, tuple =
+               match c with Insert t -> ('+', t) | Delete t -> ('-', t)
+             in
+             Printf.sprintf "%c%s(%s)" sign rel
+               (String.concat "," (List.map render_field (R.Tuple.to_list tuple))))
+           changes)
+       (R.Delta.changes d))
+
+exception Bad_delta of int * string
+
+(* A hand scanner rather than [split_on_char]: delimiters inside quoted
+   fields are data.  Errors carry the byte offset within the payload. *)
+let parse_delta s =
+  let n = String.length s in
+  let bad i fmt = Printf.ksprintf (fun m -> raise (Bad_delta (i, m))) fmt in
+  let rec skip_ws i =
+    if i < n && String.contains " \t\n\r\012" s.[i] then skip_ws (i + 1) else i
+  in
+  (* One field starting at [i]: its value and the offset just past it. *)
+  let field i =
+    let i = skip_ws i in
+    if i < n && s.[i] = '"' then
+      let buf = Buffer.create 16 in
+      let rec quoted j =
+        if j >= n then bad i "unterminated quoted field";
+        match (s.[j], j + 1 < n && s.[j + 1] = '"') with
+        | '"', true -> Buffer.add_char buf '"'; quoted (j + 2)
+        | '"', false -> (R.Value.Str (Buffer.contents buf), skip_ws (j + 1))
+        | c, _ -> Buffer.add_char buf c; quoted (j + 1)
+      in
+      quoted (i + 1)
+    else
+      let rec bare j =
+        if j < n && not (String.contains delimiters s.[j]) then bare (j + 1)
+        else j
+      in
+      let j = bare i in
+      match String.trim (String.sub s i (j - i)) with
+      | "" -> bad i "empty field (write \"\" for an empty string)"
+      | raw -> (parse_scalar raw, j)
+  in
+  let rec fields acc i =
+    let v, k = field i in
+    match if k < n then s.[k] else ' ' with
+    | ',' -> fields (v :: acc) (k + 1)
+    | ')' -> (R.Tuple.make (List.rev (v :: acc)), k + 1)
+    | _ when k >= n -> bad k "unterminated tuple (missing ')')"
+    | c -> bad k "unexpected %C in tuple" c
+  in
+  let rec changes d i =
+    let i = skip_ws i in
+    if i >= n then d
+    else if s.[i] = ';' then changes d (i + 1)
+    else
+      let open_ = Option.value (String.index_from_opt s i '(') ~default:n in
+      if (s.[i] <> '+' && s.[i] <> '-') || open_ = n then
+        bad i "bad change (want +Rel(v,...) or -Rel(v,...))";
+      let rel = String.trim (String.sub s (i + 1) (open_ - i - 1)) in
+      if rel = "" || String.exists (fun c -> String.contains delimiters c) rel
+      then bad (i + 1) "bad relation name %S" rel;
+      let tuple, k = fields [] (open_ + 1) in
+      let k = skip_ws k in
+      if k < n && s.[k] <> ';' then bad k "expected ';' between changes";
+      let add = if s.[i] = '+' then R.Delta.insert else R.Delta.delete in
+      changes (add d rel tuple) k
+  in
+  match changes R.Delta.empty 0 with
+  | d when R.Delta.is_empty d -> Error "COMMIT_DELTA: empty delta"
+  | d -> Ok d
+  | exception Bad_delta (i, m) ->
+      Error (Printf.sprintf "COMMIT_DELTA: %s at offset %d" m i)
 
 (* The command table is shared by both protocol versions: the [V2]
    prefix is what a self-describing v2 client sends, but the commands

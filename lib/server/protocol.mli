@@ -21,7 +21,8 @@
                      the server answers with count response lines,
                      one per query, in order)
       binding   ::= name "=" scalar
-      change    ::= ("+" | "-") relation "(" scalar { "," scalar } ")"
+      change    ::= ("+" | "-") relation "(" field { "," field } ")"
+      field     ::= scalar | '"' { char | '""' } '"'
       version   ::= integer
       count     ::= integer >= 1 (bounded by the decoder's max_batch)
       digest    ::= hex token (no spaces)
@@ -33,9 +34,15 @@
     accepted {e without} the prefix — the prefix is how a
     self-describing client declares intent, not a gate — and every v1
     command is valid under it.  Scalars go through the same coercion as
-    CLI parameters: integer literals become [Int], everything else
-    [Str]; consequently delta values containing [,;()] are outside the
-    line format.
+    CLI parameters: they are trimmed, integer literals become [Int],
+    everything else [Str].  A delta field that cannot be written as
+    such a scalar — empty, with leading or trailing whitespace,
+    containing [,;()"] or a newline, or a string that reads as an
+    integer — is quoted, doubling any ["] inside; a quoted field is
+    always a [Str].  (A newline inside a quoted field round-trips
+    through {!render_delta} and {!parse_delta} but cannot cross the
+    line-framed connection.)  Floats, bools and timestamps travel as
+    their printed text and come back as [Str].
 
     [CITE_BATCH] is the one multi-line request: its header announces how
     many query lines follow, and the server resolves its shard/version
@@ -109,7 +116,11 @@ val render_request : request -> string
 
 val render_delta : Dc_relational.Delta.t -> string
 (** The COMMIT_DELTA payload: [+Rel(v,...)] / [-Rel(v,...)] changes
-    joined by [;]. *)
+    joined by [;], fields quoted where the grammar above requires. *)
+
+val parse_delta : string -> (Dc_relational.Delta.t, string) result
+(** Inverse of {!render_delta} for [Int] and [Str] values.  Total;
+    errors carry the byte offset within the payload. *)
 
 (** {2 Response builders} *)
 

@@ -55,6 +55,7 @@ type read_result =
   | Frame of string * int  (** payload, offset just past the frame *)
   | End
   | Corrupt of string
+  | Bad_crc of int
 
 let read s pos =
   let n = String.length s in
@@ -68,5 +69,5 @@ let read s pos =
     else if n - pos - 8 < len then Corrupt "truncated frame payload"
     else
       let payload = String.sub s (pos + 8) len in
-      if crc32 payload <> crc then Corrupt "frame CRC mismatch"
+      if crc32 payload <> crc then Bad_crc (pos + 8 + len)
       else Frame (payload, pos + 8 + len)

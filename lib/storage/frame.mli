@@ -14,9 +14,13 @@ type read_result =
   | Frame of string * int  (** payload, offset just past the frame *)
   | End  (** clean end of input *)
   | Corrupt of string
-      (** truncated header/payload, implausible length, or CRC
-          mismatch — the reason scanning must stop {e at this offset} *)
+      (** truncated header/payload or implausible length: the frame
+          runs off the end, so scanning must stop {e at this offset} *)
+  | Bad_crc of int
+      (** a whole frame whose payload fails its CRC; the offset just
+          past it *)
 
 val read : string -> int -> read_result
-(** [read s pos] reads the frame starting at [pos].  Total: corruption
-    and truncation come back as {!Corrupt}, never an exception. *)
+(** [read s pos] reads the frame starting at [pos].  Total: truncation
+    and corruption come back as {!Corrupt} or {!Bad_crc}, never an
+    exception. *)

@@ -124,45 +124,41 @@ let load_snapshots ~dir =
   | [] -> Error (Printf.sprintf "%s: no valid snapshot found" dir)
   | _ -> Ok valid
 
+(* Replay the scanned records onto the seed.  Every record here passed
+   its CRC and decoded, so it was committed: a version gap, an unknown
+   relation or a delta that does not apply means the log and the seed
+   disagree, and recovery must stop with an error rather than reopen
+   for append past records it never replayed. *)
 let replay ~seed records =
-  let store = ref (VS.restore ~version:seed.Snapshot.version ~at:seed.Snapshot.at seed.Snapshot.db) in
-  let regs = ref seed.Snapshot.registrations in
-  let replayed = ref 0 in
-  let stop = ref None in
-  List.iter
-    (fun record ->
-      if !stop = None then
-        match record with
-        | Wal.Register q ->
-            if not (List.mem q !regs) then regs := !regs @ [ q ]
-        | Wal.Commit { version; at; delta } ->
-            let head = VS.head !store in
-            if version <= head then () (* predates the seed snapshot *)
-            else if version <> head + 1 then
-              stop :=
-                Some
-                  (Printf.sprintf
-                     "WAL version gap: have head %d, next record is %d" head
-                     version)
-            else (
-              match VS.apply_head !store delta with
-              | exception Not_found ->
-                  stop :=
-                    Some
-                      (Printf.sprintf
-                         "WAL replay: version %d touches an unknown relation"
-                         version)
-              | exception Invalid_argument e ->
-                  stop :=
-                    Some (Printf.sprintf "WAL replay: version %d: %s" version e)
-              | db ->
-                  let store', v = VS.commit_at !store ~at db in
-                  assert (v = version);
-                  store := store';
-                  incr replayed))
-    records;
-  Option.iter (fun reason -> Log.warn (fun m -> m "%s (stopping replay)" reason)) !stop;
-  (!store, !regs, !replayed)
+  let rec go store regs replayed = function
+    | [] -> Ok (store, regs, replayed)
+    | Wal.Register q :: rest ->
+        go store (if List.mem q regs then regs else regs @ [ q ]) replayed rest
+    | Wal.Commit { version; at; delta } :: rest -> (
+        let head = VS.head store in
+        (* a version at or below the head predates the seed snapshot *)
+        if version <= head then go store regs replayed rest
+        else if version <> head + 1 then
+          Error
+            (Printf.sprintf "WAL version gap: have head %d, next record is %d"
+               head version)
+        else
+          match VS.apply_head store delta with
+          | exception Not_found ->
+              Error
+                (Printf.sprintf
+                   "WAL replay: version %d touches an unknown relation" version)
+          | exception Invalid_argument e ->
+              Error (Printf.sprintf "WAL replay: version %d: %s" version e)
+          | db ->
+              let store, v = VS.commit_at store ~at db in
+              assert (v = version);
+              go store regs (replayed + 1) rest)
+  in
+  go
+    (VS.restore ~version:seed.Snapshot.version ~at:seed.Snapshot.at
+       seed.Snapshot.db)
+    seed.Snapshot.registrations 0 records
 
 let recover ~fsync ~mode ~dir t_digest =
   Result.bind (load_snapshots ~dir) @@ fun snaps_desc ->
@@ -172,12 +168,7 @@ let recover ~fsync ~mode ~dir t_digest =
     | Fast -> latest
     | Full -> List.hd (List.rev snaps_desc) (* lowest valid version *)
   in
-  let schemas =
-    List.filter_map
-      (fun name -> R.Database.schema seed.Snapshot.db name)
-      (R.Database.relation_names seed.Snapshot.db)
-  in
-  Result.bind (Wal.scan_file ~schemas (wal_path dir)) @@ fun scan ->
+  Result.bind (Wal.scan_file (wal_path dir)) @@ fun scan ->
   let discarded = scan.Wal.total_bytes - scan.Wal.valid_bytes in
   if discarded > 0 then
     Log.warn (fun m ->
@@ -186,10 +177,12 @@ let recover ~fsync ~mode ~dir t_digest =
           (match scan.Wal.corrupt with
           | None -> ""
           | Some r -> " (" ^ r ^ ")"));
-  let store, registrations, replayed =
-    Metrics.record_time "recovery_replay" (fun () ->
-        replay ~seed scan.Wal.records)
-  in
+  Result.bind
+    (Result.map_error
+       (fun e -> Printf.sprintf "%s: %s" (wal_path dir) e)
+       (Metrics.record_time "recovery_replay" (fun () ->
+            replay ~seed scan.Wal.records)))
+  @@ fun (store, registrations, replayed) ->
   Metrics.record ~by:replayed Metrics.Key.recovery_replayed_deltas;
   (* Verify the recovered state against the stored fixity digest: the
      newest snapshot records what its version hashed to when written;
@@ -239,9 +232,11 @@ let recover ~fsync ~mode ~dir t_digest =
             digest_verified;
           } )
 
+let exists ~dir = Sys.file_exists (wal_path dir)
+
 let open_ ?digest ?(fsync = Always) ?(mode = Full) ~dir ~db () =
   Result.bind (ensure_dir dir) @@ fun () ->
-  if Sys.file_exists (wal_path dir) then
+  if exists ~dir then
     Result.map (fun (t, r) -> (t, Some r)) (recover ~fsync ~mode ~dir digest)
   else Result.map (fun t -> (t, None)) (init_fresh ~fsync ~dir digest db)
 

@@ -13,8 +13,14 @@
     prefix and discarding a torn tail by truncation — replays the
     suffix of committed deltas with their original version numbers and
     timestamps, gathers registered queries, and verifies the recovered
-    state against the newest snapshot's stored fixity digest (refusing
-    to open on a mismatch).
+    state against the newest snapshot's stored fixity digest.  Only a
+    torn tail is ever truncated: a last frame cut short, or a bad frame
+    followed only by zero bytes.  Every other disagreement refuses to
+    open with an [Error] naming the WAL and leaves the files untouched:
+    a CRC-valid record that does not decode, a whole CRC-failing frame
+    with live bytes after it, a version gap, a record touching an
+    unknown relation, a delta that does not apply, a text-format
+    ([DCWAL01]) log, or a digest mismatch.
 
     {b Durability ordering.}  Callers append to the WAL {e before}
     publishing a commit (see {!Dc_citation.Versioned_engine}); the
@@ -66,11 +72,17 @@ val open_ :
     snapshots and checked on recovery.  [fsync] defaults to [Always],
     [mode] to [Full]. *)
 
+val exists : dir:string -> bool
+(** Whether [dir] already holds a store (its WAL exists), i.e. whether
+    {!open_} would recover rather than initialize. *)
+
 val append_commit :
   t -> version:int -> at:int -> Dc_relational.Delta.t -> (unit, string) result
 (** Log one committed delta.  Call {e before} publishing the new head:
     an [Error] here means the commit is not durable and must not be
-    exposed. *)
+    exposed.  The delta must apply to version [version - 1]: the log is
+    not checked here, and recovery refuses a log whose records do not
+    replay. *)
 
 val append_register : t -> string -> (unit, string) result
 (** Log one registered query (its rendered form). *)

@@ -1,60 +1,85 @@
 (* The write-ahead log: an append-only file of framed records.
 
    Layout: an 8-byte magic, then {!Frame} records.  Each record payload
-   is text — the protocol-v2 wire delta format carries the data, so a
-   WAL record is readable with [strings wal.log] and the codec is the
-   one the server already speaks:
+   is binary, built from the same {!Codec} primitives as a snapshot, so
+   every value is type-tagged and replays as exactly the value that was
+   committed — no text grammar sits between a commit and its recovery:
 
    {v
-     C <version> <at> <wire-delta>     a committed delta
-     R <query>                         a registered query
+     'C' version:varint at:zigzag count:varint change*   a committed delta
+         change ::= ('+' | '-') relation:string arity:varint value*
+     'R' query:string                                    a registered query
    v}
 
-   Scanning recovers the longest valid prefix: the first torn frame,
-   CRC mismatch, undecodable payload or version gap ends the scan at
-   that byte offset, and reopening for append truncates the tail away.
-   Appends never rewrite earlier bytes, so an fsynced prefix stays
-   valid whatever happens to the tail. *)
+   Scanning stops at a torn tail — a last frame cut short, or a bad
+   frame followed only by zeros (the tail a crash mid-append leaves;
+   reopening truncates it).  It refuses a CRC-valid frame that does not
+   decode, and a whole CRC-failing frame with live bytes after it: both
+   were written whole, and truncating there would drop committed
+   versions.  Appends never rewrite earlier bytes, so an fsynced prefix
+   stays valid whatever happens to the tail. *)
 
 module R = Dc_relational
 module Metrics = Dc_clock.Metrics
 
-let log_src = Logs.Src.create "datacite.storage" ~doc:"Durable version store"
-
-module Log = (val Logs.src_log log_src)
-
-let magic = "DCWAL01\n"
+let magic = "DCWAL02\n"
 
 type record =
   | Commit of { version : int; at : int; delta : R.Delta.t }
   | Register of string
 
-let encode_record = function
+let encode_record record =
+  let buf = Buffer.create 64 in
+  (match record with
   | Commit { version; at; delta } ->
-      Printf.sprintf "C %d %d %s" version at (R.Delta_wire.render delta)
-  | Register q -> "R " ^ q
+      Buffer.add_char buf 'C';
+      Codec.add_varint buf version;
+      Codec.add_zigzag buf at;
+      Codec.add_varint buf (R.Delta.size delta);
+      List.iter
+        (fun (rel, changes) ->
+          List.iter
+            (fun (c : R.Delta.change) ->
+              let sign, tuple =
+                match c with Insert t -> ('+', t) | Delete t -> ('-', t)
+              in
+              Buffer.add_char buf sign;
+              Codec.add_string buf rel;
+              Codec.add_varint buf (Array.length tuple);
+              Array.iter (Codec.add_value buf) tuple)
+            changes)
+        (R.Delta.changes delta)
+  | Register q ->
+      Buffer.add_char buf 'R';
+      Codec.add_string buf q);
+  Buffer.contents buf
 
-let split_first s =
-  match String.index_opt s ' ' with
-  | None -> (s, "")
-  | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+let read_change r delta =
+  let sign = Codec.read_byte r in
+  let rel = Codec.read_string r in
+  let arity = Codec.read_varint r in
+  let tuple = Array.init arity (fun _ -> Codec.read_value r) in
+  match Char.chr sign with
+  | '+' -> R.Delta.insert delta rel tuple
+  | '-' -> R.Delta.delete delta rel tuple
+  | _ -> Codec.corrupt "bad change sign %d" sign
 
-let decode_record ~schemas payload =
-  let tag, rest = split_first payload in
-  match tag with
-  | "R" -> if rest = "" then Error "register record: empty query" else Ok (Register rest)
-  | "C" -> (
-      let v, rest = split_first rest in
-      let at, body = split_first rest in
-      match (int_of_string_opt v, int_of_string_opt at) with
-      | Some version, Some at ->
-          Result.map
-            (fun delta -> Commit { version; at; delta })
-            (Result.map_error
-               (fun e -> "commit record: " ^ e)
-               (R.Delta_wire.parse_typed ~schemas body))
-      | _ -> Error (Printf.sprintf "commit record: bad header %S" payload))
-  | t -> Error (Printf.sprintf "unknown record tag %S" t)
+let decode_record payload =
+  Codec.decode payload @@ fun r ->
+  match Char.chr (Codec.read_byte r) with
+  | 'R' -> Register (Codec.read_string r)
+  | 'C' -> (
+      let version = Codec.read_varint r in
+      try
+        let at = Codec.read_zigzag r in
+        let n = Codec.read_varint r in
+        let rec changes delta k =
+          if k = 0 then delta else changes (read_change r delta) (k - 1)
+        in
+        Commit { version; at; delta = changes R.Delta.empty n }
+      with Codec.Corrupt e ->
+        Codec.corrupt "commit record for version %d: %s" version e)
+  | c -> Codec.corrupt "unknown record tag %C" c
 
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                            *)
@@ -69,33 +94,53 @@ type scan = {
       (** why the scan stopped before [total_bytes], when it did *)
 }
 
-let scan_string ~schemas contents =
+let scan_string contents =
   let n = String.length contents in
   let m = String.length magic in
-  if n < m || String.sub contents 0 m <> magic then
-    (* A missing/wrong magic is not a torn tail — appends cannot damage
-       the first 8 bytes — so refuse rather than "recover" to empty. *)
-    Error
-      (Printf.sprintf "bad WAL magic (got %S, want %S)"
-         (String.sub contents 0 (min n m))
-         magic)
+  let head = String.sub contents 0 (min n m) in
+  if head <> magic then
+    (* A foreign file or another format version (the text-record
+       "DCWAL01\n") is not a torn tail — appends cannot damage the first
+       8 bytes — so refuse rather than "recover" to empty. *)
+    Error (Printf.sprintf "bad WAL magic (got %S, want %S)" head magic)
   else
-    let rec go acc pos =
-      match Frame.read contents pos with
-      | Frame.End ->
-          { records = List.rev acc; valid_bytes = pos; total_bytes = n;
-            corrupt = None }
-      | Frame.Corrupt reason ->
-          { records = List.rev acc; valid_bytes = pos; total_bytes = n;
-            corrupt = Some reason }
-      | Frame.Frame (payload, next) -> (
-          match decode_record ~schemas payload with
-          | Ok r -> go (r :: acc) next
-          | Error reason ->
-              { records = List.rev acc; valid_bytes = pos; total_bytes = n;
-                corrupt = Some reason })
+    let rec zeros_from i =
+      i >= n || (contents.[i] = '\000' && zeros_from (i + 1))
     in
-    Ok (go [] m)
+    let rec go acc last_version pos =
+      let stop corrupt =
+        Ok { records = List.rev acc; valid_bytes = pos; total_bytes = n;
+             corrupt }
+      in
+      (* A whole bad frame with live bytes after it was not torn (appends
+         never rewrite earlier bytes); only zeros after it — a file grown
+         before its data blocks reached the disk — make it a torn tail. *)
+      let bad next reason =
+        if zeros_from next then stop (Some reason)
+        else
+          Error
+            (Printf.sprintf
+               "corrupt record at byte offset %d (after version %d) with %d \
+                byte(s) after it: %s"
+               pos last_version (n - next) reason)
+      in
+      match Frame.read contents pos with
+      | Frame.End -> stop None
+      | Frame.Corrupt reason -> stop (Some reason)
+      | Frame.Bad_crc next -> bad next "frame CRC mismatch"
+      | Frame.Frame ("", next) -> bad next "empty frame" (* no record is "" *)
+      | Frame.Frame (payload, next) -> (
+          match decode_record payload with
+          | Ok (Commit { version; _ } as r) -> go (r :: acc) version next
+          | Ok r -> go (r :: acc) last_version next
+          | Error reason ->
+              Error
+                (Printf.sprintf
+                   "CRC-valid record at byte offset %d (after version %d) \
+                    does not decode: %s"
+                   pos last_version reason))
+    in
+    go [] 0 m
 
 let read_file path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -104,13 +149,13 @@ let read_file path =
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
 
-let scan_file ~schemas path =
+let scan_file path =
   match read_file path with
   | Error e -> Error e (* Sys_error / Unix errors already carry the path *)
   | Ok contents ->
       Result.map_error
         (fun e -> Printf.sprintf "%s: %s" path e)
-        (scan_string ~schemas contents)
+        (scan_string contents)
 
 (* ------------------------------------------------------------------ *)
 (* Appending                                                           *)

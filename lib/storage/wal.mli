@@ -1,27 +1,29 @@
-(** The write-ahead log: framed records over the protocol-v2 wire delta
-    format.
+(** The write-ahead log: framed binary records.
 
     A WAL file is the 8-byte {!magic} followed by {!Frame} records whose
-    payloads are text: [C <version> <at> <wire-delta>] for a committed
-    delta, [R <query>] for a registered query.  Scanning recovers the
-    longest valid prefix — a torn tail, CRC mismatch, undecodable
-    payload or implausible length ends the scan at that byte offset
-    instead of raising. *)
+    payloads are built from the {!Codec} primitives the snapshots use:
+    a committed delta is its version, timestamp and, per change, the
+    sign, relation name and type-tagged values; a registration is the
+    query text.  Values are self-describing, so decoding needs no schema
+    and every committed value replays as itself.  Scanning keeps the
+    longest valid prefix against a torn tail and refuses anything else
+    (see {!scan_string}). *)
 
 val magic : string
+(** ["DCWAL02\n"].  A log with any other magic — such as the
+    text-record ["DCWAL01\n"] — is refused, naming the magic found. *)
 
 type record =
   | Commit of { version : int; at : int; delta : Dc_relational.Delta.t }
   | Register of string
 
 val encode_record : record -> string
-(** The record's payload text (unframed). *)
+(** The record's binary payload (unframed). *)
 
-val decode_record :
-  schemas:Dc_relational.Schema.t list -> string -> (record, string) result
-(** Inverse of {!encode_record}.  Deltas are parsed schema-typed (see
-    {!Dc_relational.Delta_wire.parse_typed}) so committed values replay
-    exactly. *)
+val decode_record : string -> (record, string) result
+(** Inverse of {!encode_record}; total — malformed payloads come back
+    as [Error], naming the version of a commit record whose header
+    decoded. *)
 
 (** {2 Scanning} *)
 
@@ -34,15 +36,18 @@ type scan = {
       (** why the scan stopped before [total_bytes], when it did *)
 }
 
-val scan_string :
-  schemas:Dc_relational.Schema.t list -> string -> (scan, string) result
-(** Scan whole-file contents.  [Error] only for a missing/foreign magic
-    (appends cannot damage the first bytes, so that is a foreign file,
-    not a torn tail); everything after the magic degrades to a shorter
-    valid prefix. *)
+val scan_string : string -> (scan, string) result
+(** Scan whole-file contents.  A torn tail — a last frame cut short
+    (or with an implausible length), or a CRC-failing or empty frame
+    followed only by zero bytes — ends the scan at its byte offset.
+    [Error] for a missing, foreign or text-format magic (appends cannot
+    damage the first bytes), for a CRC-valid record that does not
+    decode, and for a CRC-failing or empty frame with non-zero bytes
+    after it, each naming its byte offset and the version it follows:
+    none of these is a torn append, and truncating there would drop
+    committed versions. *)
 
-val scan_file :
-  schemas:Dc_relational.Schema.t list -> string -> (scan, string) result
+val scan_file : string -> (scan, string) result
 (** {!scan_string} on a file, with the path prefixed to any error. *)
 
 (** {2 Appending} *)

@@ -2,16 +2,16 @@
    --data-dir is killed with SIGKILL mid-service and restarted over the
    same directory; every pre-crash version must answer CITE_AT / VERIFY
    identically, registrations must be re-armed, and a graceful SIGTERM
-   must leave a drain snapshot covering the head. *)
+   must leave a drain snapshot covering the head.  A store built by
+   datacite_cli is the same store: the server serves it and every
+   version verifies. *)
 
 module S = Dc_server
 
 (* Resolve the server binary next to this test executable so the test
    works under both `dune runtest` and `dune exec` from the repo root. *)
-let exe =
-  Filename.concat
-    (Filename.dirname (Filename.dirname Sys.executable_name))
-    "bin/datacite_server.exe"
+let build_root = Filename.dirname (Filename.dirname Sys.executable_name)
+let exe = Filename.concat build_root "bin/datacite_server.exe"
 
 let contains line sub =
   let n = String.length line and m = String.length sub in
@@ -40,22 +40,27 @@ let tmp_dir =
     Unix.mkdir d 0o700;
     d
 
-let rm_rf d =
+let rec rm_rf d =
   if Sys.file_exists d then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+    Array.iter
+      (fun f ->
+        let p = Filename.concat d f in
+        if Sys.is_directory p then rm_rf p else Sys.remove p)
+      (Sys.readdir d);
     Unix.rmdir d
   end
 
 type proc = { pid : int; port : int; stdout : in_channel }
 
 (* Spawn the real server binary on an ephemeral port and parse the
-   bound port from its banner line. *)
-let spawn_server args =
+   bound port from its banner line.  [source] picks the database and
+   views (the built-in worked example by default). *)
+let spawn_server ?(source = [ "--demo" ]) args =
   if not (Sys.file_exists exe) then
     Alcotest.failf "server binary not built at %s (cwd %s)" exe (Sys.getcwd ());
   let out_r, out_w = Unix.pipe ~cloexec:false () in
   let dev_null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let argv = Array.of_list (exe :: "--demo" :: "--port" :: "0" :: args) in
+  let argv = Array.of_list ((exe :: source) @ ("--port" :: "0" :: args)) in
   let pid = Unix.create_process exe argv dev_null out_w Unix.stderr in
   Unix.close out_w;
   Unix.close dev_null;
@@ -125,6 +130,8 @@ let test_kill9_recovery () =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let p = spawn_server [ "--data-dir"; dir; "--workers"; "2" ] in
   let before =
+    (* a failure before the crash must not leave the server running *)
+    Fun.protect ~finally:(fun () -> kill_hard p) @@ fun () ->
     with_conn p.port @@ fun conn ->
     ignore (expect_ok "register" (req conn ("V2 REGISTER " ^ query)));
     for i = 1 to 3 do
@@ -135,17 +142,22 @@ let test_kill9_recovery () =
                  "V2 COMMIT_DELTA +Family(%d,CrashFam%d,D%d);+FamilyIntro(%d,intro)"
                  (40 + i) i i (40 + i))))
     done;
+    (* values a text record codec loses: a comma, a semicolon, an
+       empty string — quoted on the wire *)
+    ignore
+      (expect_ok "commit with quoted values"
+         (req conn
+            {|V2 COMMIT_DELTA +Family(44,"Smith, J.; Doe, A.","");+Committee(44,"a;b(c)")|}));
     let versions = expect_ok "versions" (req conn "V2 VERSIONS") in
     let cites =
       List.map (fun v -> (v, sans_ms (expect_ok "cite_at" (req conn (cite_at v)))))
-        [ 0; 1; 2; 3 ]
+        [ 0; 1; 2; 3; 4 ]
     in
     let digests = List.map (fun (v, c) -> (v, extract_str c "digest")) cites in
     (sans_ms versions, cites, digests)
   in
-  (* SIGKILL: no drain, no final snapshot — recovery must come from the
-     WAL alone *)
-  kill_hard p;
+  (* SIGKILL (above): no drain, no final snapshot — recovery must come
+     from the WAL alone *)
   let p2 = spawn_server [ "--data-dir"; dir; "--workers"; "2" ] in
   Fun.protect ~finally:(fun () -> kill_hard p2) @@ fun () ->
   with_conn p2.port @@ fun conn ->
@@ -173,7 +185,7 @@ let test_kill9_recovery () =
         (contains verify {|"valid":true|}))
     digests0;
   (* the registration was re-armed from the WAL *)
-  let warm = expect_ok "head cite" (req conn (cite_at 3)) in
+  let warm = expect_ok "head cite" (req conn (cite_at 4)) in
   Alcotest.(check bool) "registration re-armed" true
     (contains warm {|"from_registration":true|});
   (* v2 HEALTH reports the durable state; v1 HEALTH is unchanged *)
@@ -245,6 +257,96 @@ let test_unusable_data_dir_fails_with_context () =
   Alcotest.(check bool) "error names the path" true (contains err path);
   Alcotest.(check bool) "error says why" true (contains err "not a directory")
 
+(* ---------------- a CLI-built store, served ---------------- *)
+
+let cli = Filename.concat build_root "bin/datacite_cli.exe"
+let gtopdb = Filename.concat build_root "examples/data/gtopdb"
+
+(* Run datacite_cli to completion: its exit code and stdout. *)
+let run_cli args =
+  let ic = Unix.open_process_args_in cli (Array.of_list (cli :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED code -> (code, out)
+  | _ -> Alcotest.failf "datacite_cli %s: killed" (String.concat " " args)
+
+let cli_ok args =
+  match run_cli args with
+  | 0, out -> out
+  | code, out ->
+      Alcotest.failf "datacite_cli %s: exit %d\n%s" (String.concat " " args)
+        code out
+
+let test_cli_store_served () =
+  let dir = tmp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let store = Filename.concat dir "store" in
+  let delta = Filename.concat dir "authors.delta" in
+  let oc = open_out delta in
+  output_string oc
+    "+,Family,44,\"Smith, J.\",D44\n+,Committee,44,\"Doe, A.; Roe, B.\"\n";
+  close_out oc;
+  let init = cli_ok [ "store"; "init"; "--data"; gtopdb; store ] in
+  Alcotest.(check bool) "init reports version 0" true
+    (contains init "at version 0");
+  Alcotest.(check bool) "a second init is refused" true
+    (fst (run_cli [ "store"; "init"; "--data"; gtopdb; store ]) <> 0);
+  Alcotest.(check bool) "a directory without a store is refused" true
+    (fst (run_cli [ "store"; "log"; Filename.concat dir "nowhere" ]) <> 0);
+  Alcotest.(check bool) "refusing created nothing" false
+    (Sys.file_exists (Filename.concat dir "nowhere"));
+  (* a directory in the retired CSV layout (base/ + deltas/) is neither
+     read as empty nor initialized over *)
+  let old = Filename.concat dir "old" in
+  List.iter (fun d -> Unix.mkdir d 0o755)
+    [ old; Filename.concat old "base"; Filename.concat old "deltas" ];
+  Alcotest.(check bool) "a CSV-layout store is refused by log" true
+    (fst (run_cli [ "store"; "log"; old ]) <> 0);
+  Alcotest.(check bool) "a CSV-layout store is refused by init" true
+    (fst (run_cli [ "store"; "init"; "--data"; gtopdb; old ]) <> 0);
+  Alcotest.(check bool) "no log written beside it" false
+    (Sys.file_exists (Filename.concat old "wal.log"));
+  Alcotest.(check string) "commit" "committed version 1\n"
+    (cli_ok [ "store"; "commit"; store; delta ]);
+  (* the log lists each version with its fixity digest *)
+  let digests =
+    String.split_on_char '\n' (cli_ok [ "store"; "log"; store ])
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           Scanf.sscanf l "v%d: %d tuples, digest %s" (fun v _ d -> (v, d)))
+  in
+  Alcotest.(check (list int)) "log lists v0 and v1" [ 0; 1 ]
+    (List.map fst digests);
+  let resolved =
+    cli_ok
+      [ "store"; "resolve"; store; "--views";
+        Filename.concat gtopdb "views.spec"; "--at"; "1";
+        "Q(N) :- Family(F,N,D)" ]
+  in
+  Alcotest.(check bool) "resolve at v1 sees the comma value" true
+    (contains resolved "Smith, J.");
+  (* the server recovers the very same store: every version verifies *)
+  let p =
+    spawn_server
+      ~source:
+        [ "--data"; gtopdb; "--views"; Filename.concat gtopdb "views.spec" ]
+      [ "--data-dir"; store; "--workers"; "2" ]
+  in
+  Fun.protect ~finally:(fun () -> kill_hard p) @@ fun () ->
+  with_conn p.port @@ fun conn ->
+  Alcotest.(check bool) "served head is v1" true
+    (contains (expect_ok "versions" (req conn "V2 VERSIONS")) {|"head":1|});
+  List.iter
+    (fun (v, digest) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "VERIFY %d" v)
+        true
+        (contains
+           (expect_ok "verify"
+              (req conn (Printf.sprintf "V2 VERIFY %d %s" v digest)))
+           {|"valid":true|}))
+    digests
+
 let suite =
   [
     Alcotest.test_case "kill -9 then recover" `Quick test_kill9_recovery;
@@ -252,4 +354,6 @@ let suite =
       test_graceful_drain_snapshot;
     Alcotest.test_case "unusable data-dir fails with context" `Quick
       test_unusable_data_dir_fails_with_context;
+    Alcotest.test_case "cli-built store is served and verifies" `Quick
+      test_cli_store_served;
   ]

@@ -78,9 +78,10 @@ let test_v2_prefix () =
   Alcotest.(check (result req string))
     "bare VERSIONS" (Ok P.Versions) (P.parse_request "versions")
 
-(* Property round trip across all request shapes: safe strings avoid
-   the documented wire limitations (no [,;()=] or spaces in scalars, no
-   integer-shaped strings). *)
+(* Property round trip across all request shapes: safe strings keep
+   query, view and binding tokens inside the unquoted grammar (no
+   [,;()=] or spaces, no integer-shaped strings); delta values get the
+   arbitrary-string property further down. *)
 let safe_str =
   QCheck.Gen.(
     string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; 'x'; 'y'; 'z' ]) (1 -- 8))
@@ -410,6 +411,80 @@ let test_decoder_stream_prop =
            (fun r -> function Ok r' -> req_equal r r' | Error _ -> false)
            rs items)
 
+(* ---------------- COMMIT_DELTA quoting ---------------- *)
+
+let test_delta_quoting () =
+  let d values = R.Delta.insert R.Delta.empty "Family" (R.Tuple.make values) in
+  let check_render name values expected =
+    Alcotest.(check string) name expected (P.render_delta (d values))
+  in
+  (* fields that need no quotes render exactly as before quoting existed *)
+  check_render "bare" [ R.Value.Int 30; R.Value.Str "Orexin"; R.Value.Str "O1" ]
+    "+Family(30,Orexin,O1)";
+  check_render "inner spaces stay bare" [ R.Value.Str "Dopamine intro" ]
+    "+Family(Dopamine intro)";
+  check_render "delimiters quoted" [ R.Value.Str "Smith, J."; R.Value.Str "a;b(c)" ]
+    {|+Family("Smith, J.","a;b(c)")|};
+  check_render "empty and padded quoted" [ R.Value.Str ""; R.Value.Str " sp " ]
+    {|+Family(""," sp ")|};
+  check_render "quotes doubled" [ R.Value.Str {|say "hi"|} ]
+    {|+Family("say ""hi""")|};
+  check_render "int-shaped string quoted" [ R.Value.Str "42"; R.Value.Int 42 ]
+    {|+Family("42",42)|};
+  Alcotest.(check (result req string))
+    "quoted fields parse as Str"
+    (Ok (P.Commit_delta (d [ R.Value.Str "42"; R.Value.Str "Smith, J." ])))
+    (P.parse_request {|V2 COMMIT_DELTA +Family( "42" , "Smith, J.")|});
+  List.iter
+    (fun (payload, offset) ->
+      match P.parse_delta payload with
+      | Ok _ -> Alcotest.failf "expected an error for %S" payload
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S: %s names offset %d" payload e offset)
+            true
+            (Test_storage.contains e (Printf.sprintf "offset %d" offset)))
+    [ ("+R(1,,2)", 5); ({|+R("open)|}, 3); ({|+R(a"b)|}, 4); ("+R(1) x", 6) ]
+
+(* Any Int and any string survives render -> parse: delimiters, quotes,
+   padding, the empty string, newlines, int-shaped strings, raw bytes
+   and UTF-8. *)
+let any_str =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ ""; " "; " sp "; "Smith, J.; Doe, A."; "a;b(c)"; {|say "hi"|};
+            "line\nbreak"; "Müller"; "42"; "-7"; "+5"; "0x1F" ];
+        string_size ~gen:char (0 -- 12);
+        string_size
+          ~gen:(oneofl [ ','; ';'; '('; ')'; '"'; ' '; '\n'; '\t'; 'a'; '1' ])
+          (0 -- 8);
+      ])
+
+let gen_any_delta =
+  QCheck.Gen.(
+    map
+      (List.fold_left
+         (fun d (ins, rel, t) ->
+           if ins then R.Delta.insert d rel t else R.Delta.delete d rel t)
+         R.Delta.empty)
+      (list_size (1 -- 5)
+         (triple bool safe_str
+            (map R.Tuple.make
+               (list_size (1 -- 4)
+                  (oneof
+                     [ map (fun n -> R.Value.Int n) int;
+                       map (fun s -> R.Value.Str s) any_str ]))))))
+
+let prop_delta_identity =
+  Testutil.qtest "delta render/parse identity"
+    (QCheck.make ~print:P.render_delta gen_any_delta)
+    (fun d ->
+      match P.parse_delta (P.render_delta d) with
+      | Ok d' -> R.Delta.changes d' = R.Delta.changes d
+      | Error _ -> false)
+
 let suite =
   [
     Alcotest.test_case "round trips" `Quick test_roundtrips;
@@ -435,4 +510,6 @@ let suite =
       test_decoder_batch_render_roundtrip;
     Alcotest.test_case "busy line" `Quick test_busy_line;
     test_decoder_stream_prop;
+    Alcotest.test_case "delta quoting" `Quick test_delta_quoting;
+    prop_delta_identity;
   ]

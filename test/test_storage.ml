@@ -6,10 +6,6 @@ open Testutil
 module Sg = Dc_storage
 module VS = R.Version_store
 
-let rs_schemas () =
-  let db = rs_db () in
-  List.filter_map (R.Database.schema db) (R.Database.relation_names db)
-
 let contains line sub =
   let n = String.length line and m = String.length sub in
   let rec at i = i + m <= n && (String.sub line i m = sub || at (i + 1)) in
@@ -59,14 +55,44 @@ let write_file path s =
 
 (* ---------------- generators ---------------- *)
 
-(* Wire-safe values only: the delta wire format excludes [,;()] in
-   strings (documented in Delta_wire); columns are typed by rs_db. *)
-let gen_word =
+(* Arbitrary strings, biased toward what a text codec gets wrong:
+   delimiters, quotes, padding, the empty string, newlines, arbitrary
+   bytes and multi-byte UTF-8. *)
+let gen_str =
   QCheck.Gen.(
-    map (String.concat "")
-      (list_size (int_range 1 8)
-         (map (String.make 1) (char_range 'a' 'z'))))
+    oneof
+      [
+        oneofl
+          [ ""; " "; " sp "; "Smith, J."; "Smith, J.; Doe, A."; "a;b(c)";
+            "say \"hi\""; "line\nbreak"; "Müller"; "42"; "-7"; "1.0";
+            "NULL" ];
+        string_size
+          ~gen:
+            (oneof
+               [ oneofl [ ','; ';'; '('; ')'; '"'; ' '; '\n'; '\t' ];
+                 char_range 'a' 'z'; char ])
+          (0 -- 12);
+        map (String.concat "")
+          (list_size (0 -- 4) (oneofl [ "ü"; "名"; "😀"; "a" ]));
+      ])
 
+(* Every value constructor, with the floats and ints a printed form
+   loses: [1.0] vs [1], long fractions, signed zero, the int extremes. *)
+let gen_value =
+  QCheck.Gen.(
+    oneof
+      [
+        map R.Value.int (oneof [ int; oneofl [ 0; min_int; max_int ] ]);
+        map R.Value.float
+          (oneof [ float; oneofl [ 1.0; 0.1234567; -0.0; 1e300; Float.nan ] ]);
+        map R.Value.bool bool;
+        return R.Value.Null;
+        map R.Value.timestamp int;
+        map R.Value.str gen_str;
+      ])
+
+(* Deltas over rs_db's columns (R: int,int; S: int,string) — they must
+   apply, so snapshot and store tests can commit them. *)
 let gen_delta =
   QCheck.Gen.(
     let r_change =
@@ -75,7 +101,7 @@ let gen_delta =
     let s_change =
       map2
         (fun a w -> (`S, tuple [ R.Value.Int a; R.Value.Str w ]))
-        small_int gen_word
+        small_int gen_str
     in
     let change = pair bool (oneof [ r_change; s_change ]) in
     map
@@ -87,17 +113,35 @@ let gen_delta =
           R.Delta.empty changes)
       (list_size (int_range 1 10) change))
 
+(* Deltas the WAL codec alone must carry: any relation name, any arity,
+   any typed value. *)
+let gen_any_delta =
+  QCheck.Gen.(
+    map
+      (List.fold_left
+         (fun d (ins, rel, t) ->
+           if ins then R.Delta.insert d rel t else R.Delta.delete d rel t)
+         R.Delta.empty)
+      (list_size (0 -- 6)
+         (triple bool gen_str
+            (map R.Tuple.make (list_size (0 -- 4) gen_value)))))
+
 let gen_record =
   QCheck.Gen.(
     oneof
       [
         map3
           (fun version at delta -> Sg.Wal.Commit { version; at; delta })
-          small_nat small_nat gen_delta;
-        map (fun w -> Sg.Wal.Register ("Q(X) :- R(X," ^ w ^ ")")) gen_word;
+          nat int gen_any_delta;
+        map (fun q -> Sg.Wal.Register q) gen_str;
       ])
 
-let arb_record = QCheck.make ~print:Sg.Wal.encode_record gen_record
+let show_record = function
+  | Sg.Wal.Commit { version; at; delta } ->
+      Format.asprintf "C %d %d %a" version at R.Delta.pp delta
+  | Sg.Wal.Register q -> Printf.sprintf "R %S" q
+
+let arb_record = QCheck.make ~print:show_record gen_record
 
 (* ---------------- frame codec ---------------- *)
 
@@ -118,17 +162,24 @@ let prop_frame_detects_flip =
       let pos = seed mod Bytes.length framed in
       Bytes.set framed pos (Char.chr (Char.code (Bytes.get framed pos) lxor 0x5a));
       match Sg.Frame.read (Bytes.to_string framed) 0 with
-      | Sg.Frame.Corrupt _ -> true
+      | Sg.Frame.Corrupt _ | Sg.Frame.Bad_crc _ -> true
       | Sg.Frame.Frame (p, _) -> p <> payload (* CRC collision: never seen *)
       | Sg.Frame.End -> false)
 
 (* ---------------- WAL record codec ---------------- *)
 
-let record_equal a b = Sg.Wal.encode_record a = Sg.Wal.encode_record b
+(* Structural, through the change lists (a delta's map shape depends on
+   insertion order); [compare] treats NaN as equal to itself. *)
+let record_key = function
+  | Sg.Wal.Commit { version; at; delta } ->
+      `Commit (version, at, R.Delta.changes delta)
+  | Sg.Wal.Register q -> `Register q
+
+let record_equal a b = compare (record_key a) (record_key b) = 0
 
 let prop_record_roundtrip =
   qtest "wal record roundtrip" arb_record (fun r ->
-      match Sg.Wal.decode_record ~schemas:(rs_schemas ()) (Sg.Wal.encode_record r) with
+      match Sg.Wal.decode_record (Sg.Wal.encode_record r) with
       | Ok r' -> record_equal r r'
       | Error _ -> false)
 
@@ -151,7 +202,7 @@ let prop_truncation_yields_prefix =
          return a prefix of the original records *)
       let cut = 8 + (seed mod (String.length full - 7)) in
       match
-        Sg.Wal.scan_string ~schemas:(rs_schemas ()) (String.sub full 0 cut)
+        Sg.Wal.scan_string (String.sub full 0 cut)
       with
       | Error _ -> false
       | Ok scan ->
@@ -174,14 +225,30 @@ let prop_bitflip_yields_prefix =
       let pos = 8 + (seed mod (Bytes.length full - 8)) in
       Bytes.set full pos
         (Char.chr (Char.code (Bytes.get full pos) lxor 0x01));
-      match Sg.Wal.scan_string ~schemas:(rs_schemas ()) (Bytes.to_string full) with
-      | Error _ -> false
-      | Ok scan ->
-          List.length scan.Sg.Wal.records <= List.length records
-          && List.for_all2 record_equal scan.Sg.Wal.records
-               (List.filteri
-                  (fun i _ -> i < List.length scan.Sg.Wal.records)
-                  records))
+      (* The flip lands in frame [k], which starts at [start]: in the last
+         frame's CRC or payload it is a torn tail (a valid prefix); in
+         the CRC or payload of an earlier frame it is mid-log corruption
+         and must be refused; a flipped length field may read either
+         way. *)
+      let rec locate k start = function
+        | r :: rest ->
+            let len = 8 + String.length (Sg.Wal.encode_record r) in
+            if pos < start + len then (k, start, rest = [])
+            else locate (k + 1) (start + len) rest
+        | [] -> assert false
+      in
+      let k, start, last = locate 0 8 records in
+      let prefix scan =
+        List.length scan.Sg.Wal.records <= k
+        && List.for_all2 record_equal scan.Sg.Wal.records
+             (List.filteri
+                (fun i _ -> i < List.length scan.Sg.Wal.records)
+                records)
+      in
+      let in_length = pos < start + 4 in
+      match Sg.Wal.scan_string (Bytes.to_string full) with
+      | Ok scan -> prefix scan && (last || in_length)
+      | Error e -> ((not last) || in_length) && contains e "byte offset")
 
 let test_garbage_between_records () =
   let r1 = Sg.Wal.Register "Q(X) :- R(X,Y)" in
@@ -193,7 +260,7 @@ let test_garbage_between_records () =
   Buffer.add_string buf "!!garbage between records!!";
   Sg.Frame.write buf (Sg.Wal.encode_record r2);
   let scan =
-    ok "scan" (Sg.Wal.scan_string ~schemas:(rs_schemas ()) (Buffer.contents buf))
+    ok "scan" (Sg.Wal.scan_string (Buffer.contents buf))
   in
   Alcotest.(check int) "only the first record survives" 1
     (List.length scan.Sg.Wal.records);
@@ -205,7 +272,7 @@ let test_garbage_between_records () =
     (scan.Sg.Wal.corrupt <> None)
 
 let test_foreign_magic_is_an_error () =
-  match Sg.Wal.scan_string ~schemas:(rs_schemas ()) "NOTAWAL!rest" with
+  match Sg.Wal.scan_string "NOTAWAL!rest" with
   | Error e -> Alcotest.(check bool) "non-empty reason" true (e <> "")
   | Ok _ -> Alcotest.fail "foreign file must not scan"
 
@@ -218,7 +285,8 @@ let test_snapshot_roundtrip () =
       at = 1234;
       digest = "sha256:abc";
       registrations = [ "Q(X) :- R(X,Y)"; "P(Y) :- S(Y,C)" ];
-      db = rs_db ();
+      (* the int extremes need every bit of the zigzag varint *)
+      db = R.Database.insert (rs_db ()) "R" (int_tuple [ max_int; min_int ]);
     }
   in
   let snap' = ok "decode" (Sg.Snapshot.decode (Sg.Snapshot.encode snap)) in
@@ -232,7 +300,7 @@ let test_snapshot_roundtrip () =
 
 let prop_snapshot_db_roundtrip =
   qtest "snapshot roundtrips any delta-mutated db"
-    (QCheck.make ~print:R.Delta_wire.render gen_delta)
+    (QCheck.make ~print:Dc_server.Protocol.render_delta gen_delta)
     (fun delta ->
       (* inserts may reference tuples the db lacks for deletes; apply
          inserts only to stay within Delta.apply's domain *)
@@ -525,10 +593,218 @@ let test_concurrent_group_commit () =
   Alcotest.(check bool) "group counter within fsyncs" true
     (groups () <= fsyncs ());
   (* durability: every concurrent append is in the recovered prefix *)
-  let scan = ok "scan" (Sg.Wal.scan_file ~schemas:[] path) in
+  let scan = ok "scan" (Sg.Wal.scan_file path) in
   Alcotest.(check (option string)) "no corruption" None scan.Sg.Wal.corrupt;
   Alcotest.(check int) "every record recovered" (threads * per_thread)
     (List.length scan.Sg.Wal.records)
+
+(* ---------------- committed values survive recovery ---------------- *)
+
+(* Values a text record codec loses: delimiters, padding, the empty
+   string, a newline, multi-byte UTF-8, an int-shaped string and a
+   float whose printed form rounds; and an int whose zigzag form needs
+   all 63 bits. *)
+let hard_values =
+  [ R.Value.Str "Smith, J."; R.Value.Str " sp "; R.Value.Str "";
+    R.Value.Str "a;b(c)"; R.Value.Str "line\nbreak"; R.Value.Str "Müller";
+    R.Value.Str "42"; R.Value.Float 0.1234567; R.Value.Int max_int ]
+
+(* Author(id:int, name:string, score:any): one commit per hard value. *)
+let author_db () =
+  R.Database.create_relation R.Database.empty
+    (R.Schema.make "Author"
+       [ R.Schema.attr ~ty:R.Value.TInt "Id";
+         R.Schema.attr ~ty:R.Value.TStr "Name";
+         R.Schema.attr ~ty:R.Value.TAny "Score" ])
+
+let author_delta i v =
+  let name, score =
+    match v with
+    | R.Value.Str _ -> (v, R.Value.Float 1.0)
+    | _ -> (R.Value.Str "score", v)
+  in
+  R.Delta.insert R.Delta.empty "Author" (tuple [ R.Value.Int i; name; score ])
+
+(* Reopen [dir] in both modes: every version of [vs] is back with its
+   contents, nothing was discarded, and each version's digest verifies
+   through a versioned engine over the recovered store. *)
+let check_recovers_every_version dir vs =
+  List.iter
+    (fun mode ->
+      let st, r =
+        ok "reopen" (Sg.Store.open_ ~digest ~mode ~dir ~db:(author_db ()) ())
+      in
+      let r = Option.get r in
+      let store = r.Sg.Store.store in
+      Alcotest.(check (list int)) "every version present" (VS.versions vs)
+        (List.sort compare (VS.versions store));
+      Alcotest.(check int) "nothing discarded" 0 r.Sg.Store.discarded_bytes;
+      let ve =
+        Dc_citation.Versioned_engine.of_engine ~store
+          (Dc_citation.Engine.create (VS.head_db store) [])
+      in
+      List.iter
+        (fun v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "v%d contents" v) true
+            (R.Database.equal (VS.checkout_exn vs v) (VS.checkout_exn store v));
+          Alcotest.(check (result bool string))
+            (Printf.sprintf "v%d verifies" v) (Ok true)
+            (Dc_citation.Versioned_engine.verify ve v
+               (digest (VS.checkout_exn vs v))))
+        (VS.versions vs);
+      Sg.Store.close st)
+    [ Sg.Store.Full; Sg.Store.Fast ]
+
+let test_store_commits_survive_recovery () =
+  with_dir @@ fun dir ->
+  let st, _ = ok "open" (Sg.Store.open_ ~digest ~dir ~db:(author_db ()) ()) in
+  let vs =
+    List.fold_left
+      (fun (vs, i) v ->
+        let delta = author_delta i v in
+        let vs', version = VS.commit vs (VS.apply_head vs delta) in
+        ok "append_commit"
+          (Sg.Store.append_commit st ~version
+             ~at:(Option.get (VS.timestamp vs' version))
+             delta);
+        (vs', i + 1))
+      (VS.create (author_db ()), 1)
+      hard_values
+    |> fst
+  in
+  Sg.Store.close st;
+  check_recovers_every_version dir vs
+
+let test_versioned_commits_survive_recovery () =
+  with_dir @@ fun dir ->
+  let st, _ = ok "open" (Sg.Store.open_ ~digest ~dir ~db:(author_db ()) ()) in
+  let ve = Dc_citation.Versioned_engine.create (author_db ()) [] in
+  Dc_citation.Versioned_engine.set_durability ve st;
+  List.iteri
+    (fun i v ->
+      Alcotest.(check (result int string))
+        "commit_delta" (Ok (i + 1))
+        (Dc_citation.Versioned_engine.commit_delta ve (author_delta (i + 1) v)))
+    hard_values;
+  Sg.Store.close st;
+  check_recovers_every_version dir (Dc_citation.Versioned_engine.store ve)
+
+(* ---------------- recovery refuses, never truncates ---------------- *)
+
+(* A store with two good commits, then [damage] applied to its WAL:
+   reopening must fail with an error containing every [expect]ed
+   fragment and leave the log byte-for-byte as it was. *)
+let check_refused ~damage ~expect =
+  with_dir @@ fun dir ->
+  let db = rs_db () in
+  let st, _ = ok "open" (Sg.Store.open_ ~digest ~dir ~db ()) in
+  ignore (build_store st (VS.create db) 2);
+  damage st;
+  Sg.Store.close st;
+  let wal = Filename.concat dir "wal.log" in
+  let before = read_file wal in
+  (match Sg.Store.open_ ~digest ~dir ~db () with
+  | Ok _ -> Alcotest.fail "recovery must refuse this log"
+  | Error e ->
+      List.iter
+        (fun frag ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S mentions %S" e frag)
+            true (contains e frag))
+        (wal :: expect));
+  Alcotest.(check bool) "log left untouched" true (read_file wal = before)
+
+let append_raw dir payload =
+  let oc =
+    open_out_gen [ Open_append; Open_binary ] 0o644
+      (Filename.concat dir "wal.log")
+  in
+  output_string oc (Sg.Frame.to_string payload);
+  close_out oc
+
+let test_undecodable_record_refused () =
+  (* a whole, CRC-valid frame the decoder rejects: the commit header
+     names version 3, the changes overrun the payload *)
+  check_refused
+    ~damage:(fun st -> append_raw (Sg.Store.dir st) "C\003\002\255")
+    ~expect:[ "byte offset"; "version 3" ];
+  check_refused
+    ~damage:(fun st -> append_raw (Sg.Store.dir st) "Zjunk")
+    ~expect:[ "byte offset"; "after version 2" ]
+
+let flip_byte path off =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let b = Bytes.create 1 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.read fd b 0 1);
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 1)
+
+let test_mid_log_corruption_refused () =
+  (* the first commit's payload fails its CRC while the second record
+     follows it whole: not a torn append, so nothing may be truncated *)
+  check_refused
+    ~damage:(fun st ->
+      flip_byte (Filename.concat (Sg.Store.dir st) "wal.log") 17)
+    ~expect:[ "byte offset 8"; "after version 0"; "CRC" ]
+
+let test_zero_filled_tail_truncated () =
+  (* a file grown before its data blocks reached the disk (power loss
+     under [Interval]/[Never] fsync) ends in zeros, which read as
+     empty frames: a torn tail like any other *)
+  with_dir @@ fun dir ->
+  let db = rs_db () in
+  let st, _ = ok "open" (Sg.Store.open_ ~digest ~dir ~db ()) in
+  ignore (build_store st (VS.create db) 2);
+  Sg.Store.close st;
+  let wal = Filename.concat dir "wal.log" in
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 wal in
+  output_string oc (String.make 16 '\000');
+  close_out oc;
+  let st2, r = ok "reopen" (Sg.Store.open_ ~digest ~dir ~db ()) in
+  let r = Option.get r in
+  Alcotest.(check (list int)) "both versions back" [ 0; 1; 2 ]
+    (List.sort compare (VS.versions r.Sg.Store.store));
+  Alcotest.(check int) "zeros discarded" 16 r.Sg.Store.discarded_bytes;
+  Sg.Store.close st2
+
+let test_version_gap_refused () =
+  check_refused
+    ~damage:(fun st ->
+      ok "append" (Sg.Store.append_commit st ~version:4 ~at:9 (delta_i 4)))
+    ~expect:[ "gap"; "4" ]
+
+let test_unknown_relation_refused () =
+  check_refused
+    ~damage:(fun st ->
+      ok "append"
+        (Sg.Store.append_commit st ~version:3 ~at:9
+           (R.Delta.insert R.Delta.empty "Nope" (int_tuple [ 1 ]))))
+    ~expect:[ "version 3"; "unknown relation" ]
+
+let test_failing_apply_refused () =
+  check_refused
+    ~damage:(fun st ->
+      ok "append"
+        (Sg.Store.append_commit st ~version:3 ~at:9
+           (R.Delta.insert R.Delta.empty "R" (tuple [ str "x"; str "y" ]))))
+    ~expect:[ "version 3" ]
+
+let test_text_format_wal_refused () =
+  with_dir @@ fun dir ->
+  let db = rs_db () in
+  let st, _ = ok "open" (Sg.Store.open_ ~digest ~dir ~db ()) in
+  Sg.Store.close st;
+  let wal = Filename.concat dir "wal.log" in
+  write_file wal "DCWAL01\n";
+  match Sg.Store.open_ ~digest ~dir ~db () with
+  | Ok _ -> Alcotest.fail "a text-format log must not open"
+  | Error e ->
+      Alcotest.(check bool) "names the file" true (contains e wal);
+      Alcotest.(check bool) "names the format" true (contains e "DCWAL01")
 
 let suite =
   [
@@ -550,6 +826,23 @@ let suite =
       test_data_dir_errors_carry_the_path;
     Alcotest.test_case "concurrent group commit" `Quick
       test_concurrent_group_commit;
+    Alcotest.test_case "committed values survive recovery" `Quick
+      test_store_commits_survive_recovery;
+    Alcotest.test_case "versioned commits survive recovery" `Quick
+      test_versioned_commits_survive_recovery;
+    Alcotest.test_case "undecodable record refused" `Quick
+      test_undecodable_record_refused;
+    Alcotest.test_case "mid-log corruption refused" `Quick
+      test_mid_log_corruption_refused;
+    Alcotest.test_case "zero-filled tail truncated" `Quick
+      test_zero_filled_tail_truncated;
+    Alcotest.test_case "version gap refused" `Quick test_version_gap_refused;
+    Alcotest.test_case "unknown relation refused" `Quick
+      test_unknown_relation_refused;
+    Alcotest.test_case "failing apply refused" `Quick
+      test_failing_apply_refused;
+    Alcotest.test_case "text-format wal refused" `Quick
+      test_text_format_wal_refused;
     prop_frame_roundtrip;
     prop_frame_detects_flip;
     prop_record_roundtrip;
